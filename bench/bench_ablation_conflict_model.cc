@@ -59,9 +59,11 @@ int main(int argc, char** argv) {
                                 cfg, spec, seed, opt);
                           });
     auto expl = cells.Run(1, static_cast<int>(p), ltot, seed,
-                          [&](const fault::CellWatchdog*) {
+                          [&](const fault::CellWatchdog* wd) {
+                            db::ExplicitSimulator::Options opt;
+                            opt.watchdog = wd;
                             return db::ExplicitSimulator::RunOnce(cfg, spec,
-                                                                  seed);
+                                                                  seed, opt);
                           });
     if (prob.ok() && prob->throughput > best_prob_tp) {
       best_prob_tp = prob->throughput;

@@ -166,9 +166,10 @@ int main(int argc, char** argv) {
     const core::CellKey key{static_cast<int>(s), static_cast<int>(p),
                             static_cast<int>(r)};
     outcomes[i] = core::RunCell(
-        policies[s], key, seeds[r], [&](const fault::CellWatchdog*) {
+        policies[s], key, seeds[r], [&](const fault::CellWatchdog* wd) {
           db::IncrementalSimulator::Options opt;
           opt.contention = series[s].contention;
+          opt.watchdog = wd;
           return db::IncrementalSimulator::RunOnce(cfg, spec, seeds[r], opt);
         });
   };

@@ -8,16 +8,17 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/engine_probe.h"
+#include "core/fault.h"
 #include "core/metrics.h"
+#include "core/run_stats.h"
+#include "core/txn_pool.h"
 #include "db/contention_policy.h"
 #include "lockmgr/wait_queue_table.h"
 #include "lockmgr/waits_for.h"
 #include "model/config.h"
 #include "obs/hooks.h"
-#include "sim/busy_union.h"
-#include "sim/priority_server.h"
-#include "sim/simulator.h"
-#include "sim/stats.h"
+#include "sim/machine.h"
 #include "sim/trace.h"
 #include "util/random.h"
 #include "util/status.h"
@@ -78,6 +79,8 @@ class IncrementalSimulator {
     /// time, and deadlock abort/backoff; `phase_pending_wait` is 0 (no
     /// pending queue).
     obs::Hooks obs;
+    /// Optional per-cell watchdog; see `core::GranularitySimulator`.
+    const fault::CellWatchdog* watchdog = nullptr;
   };
 
   IncrementalSimulator(model::SystemConfig cfg, workload::WorkloadSpec spec,
@@ -117,7 +120,6 @@ class IncrementalSimulator {
 
   void StartTransaction(Txn* txn);
   void RequestNextLock(Txn* txn);
-  void PayLockCost(Txn* txn, std::function<void()> then);
   void OnLockCostPaid(Txn* txn);
   void OnLockGranted(Txn* txn);
   void DoStageWork(Txn* txn);
@@ -149,13 +151,9 @@ class IncrementalSimulator {
   Txn* CreateTransaction(double arrival_time);
   void DestroyTransaction(Txn* txn);
   void UpdateQueueStats();
-  void BeginMeasurement();
-  void SetUpObservability();
-  void SampleTick();
   /// One periodic contention-profiler sample (observer event; only
   /// scheduled when options_.obs.contention is set).
   void ContentionTick();
-  void PublishRunProfile(double wall_seconds);
 
   model::SystemConfig cfg_;
   workload::WorkloadSpec spec_;
@@ -165,17 +163,14 @@ class IncrementalSimulator {
   std::optional<workload::TransactionFactory> txn_factory_;
   Rng rng_;
 
-  sim::Simulator sim_;
-  std::vector<std::unique_ptr<sim::PriorityServer>> cpu_;
-  std::vector<std::unique_ptr<sim::PriorityServer>> io_;
-  sim::BusyUnionTracker cpu_union_;
-  sim::BusyUnionTracker io_union_;
+  sim::Machine machine_;
+  core::RunStats stats_;
+  core::EngineProbe probe_;
+  core::TxnPool<Txn> txns_;
 
   std::unique_ptr<lockmgr::WaitQueueLockTable> table_;
   lockmgr::WaitsForGraph waits_for_;
   std::unordered_map<lockmgr::TxnId, Txn*> txn_by_id_;
-  std::vector<std::unique_ptr<Txn>> live_txns_;
-  std::vector<std::unique_ptr<Txn>> txn_pool_;  // recycled Txn objects
   int64_t waiting_count_ = 0;
   int64_t running_count_ = 0;
   /// Deadlock victims sleeping out their restart backoff (they hold no
@@ -190,42 +185,6 @@ class IncrementalSimulator {
   /// controller, FIFO. They hold no locks and occupy no MPL slot.
   std::deque<Txn*> admission_queue_;
   int64_t admission_held_ = 0;
-  sim::TimeWeightedStat admission_stat_;
-
-  int64_t totcom_ = 0;
-  int64_t lock_requests_ = 0;
-  int64_t lock_waits_ = 0;
-  int64_t deadlock_aborts_ = 0;
-  int64_t txn_restarts_ = 0;
-  int64_t txn_sacrificed_ = 0;
-  sim::RunningStat response_;
-  sim::QuantileEstimator response_quantiles_;
-  sim::TimeWeightedStat active_stat_;
-  sim::TimeWeightedStat blocked_stat_;
-  double window_start_ = 0.0;
-
-  // Response-time decomposition (always on; see SimulationMetrics).
-  sim::RunningStat phase_pending_;  // admission-queue wait (0 when disabled)
-  sim::RunningStat phase_lock_;
-  sim::RunningStat phase_io_;
-  sim::RunningStat phase_cpu_;
-  sim::RunningStat phase_sync_;
-
-  // Cached registry instruments (null unless options_.obs.registry set).
-  obs::Counter* ctr_txn_created_ = nullptr;
-  obs::Counter* ctr_lock_requests_ = nullptr;
-  obs::Counter* ctr_lock_denials_ = nullptr;
-  obs::Counter* ctr_lock_grants_ = nullptr;
-  obs::Counter* ctr_subtxns_done_ = nullptr;
-  obs::Counter* ctr_txn_completed_ = nullptr;
-  obs::Counter* ctr_deadlock_aborts_ = nullptr;
-  obs::Histogram* hist_response_ = nullptr;
-
-  // Sampler baselines for per-interval deltas.
-  std::vector<double> sample_cpu_busy_;
-  std::vector<double> sample_io_busy_;
-  int64_t sample_totcom_ = 0;
-  double sample_time_ = 0.0;
 
   uint64_t next_txn_id_ = 1;
   /// The run's seed, kept as the policy_victim_flip fault-injection key.

@@ -6,7 +6,6 @@
 #include "db/granule_selector.h"
 #include "sim/invariants.h"
 #include "util/logging.h"
-#include "util/strings.h"
 
 namespace granulock::db {
 
@@ -27,14 +26,10 @@ struct TransferSimulator::Txn {
   int64_t read_from = 0;
   int64_t read_to = 0;
   int64_t phase_remaining = 0;
-  // Fan-in for the current lock-cost phase (I/O, then CPU); the phases
-  // never overlap for one transaction, so one field serves both.
-  int64_t lock_fanin_remaining = 0;
+  int64_t lock_fanin_remaining = 0;  // sim::Machine::PayLockCost counter
   std::vector<Txn*> blocked;
 
-  /// Returns the transaction to its freshly-constructed state while
-  /// keeping the vector's capacity — pooled reuse must behave exactly
-  /// like a new `Txn` minus the allocations.
+  /// Freshly-constructed state, vectors' capacity kept (core::TxnPool).
   void Reset() {
     id = 0;
     arrival_time = 0.0;
@@ -51,7 +46,11 @@ struct TransferSimulator::Txn {
 
 TransferSimulator::TransferSimulator(model::SystemConfig cfg, uint64_t seed,
                                      Options options)
-    : cfg_(std::move(cfg)), options_(options), rng_(seed) {}
+    : cfg_(std::move(cfg)),
+      options_(options),
+      rng_(seed),
+      probe_(obs::Hooks{.contention = options_.contention}, /*trace=*/nullptr,
+             options_.watchdog) {}
 
 TransferSimulator::TransferSimulator(model::SystemConfig cfg, uint64_t seed)
     : TransferSimulator(std::move(cfg), seed, Options{}) {}
@@ -97,85 +96,24 @@ Result<TransferSimulator::Report> TransferSimulator::Run() {
   table_ = std::make_unique<lockmgr::LockTable>(cfg_.ltot);
   const int64_t initial_total = store_->Total();
 
-  cpu_.reserve(static_cast<size_t>(cfg_.npros));
-  io_.reserve(static_cast<size_t>(cfg_.npros));
-  for (int64_t n = 0; n < cfg_.npros; ++n) {
-    cpu_.push_back(std::make_unique<sim::PriorityServer>(
-        &sim_, StrFormat("cpu%lld", (long long)n)));
-    io_.push_back(std::make_unique<sim::PriorityServer>(
-        &sim_, StrFormat("io%lld", (long long)n)));
-    cpu_.back()->SetBusyUnion(&cpu_union_);
-    io_.back()->SetBusyUnion(&io_union_);
-  }
-
-  if (auto* prof = options_.contention) {
-    prof->BeginRun(cfg_.ltot, /*imputed=*/false);
-    const double iv = prof->options().sample_interval;
-    if (iv > 0.0 && iv <= cfg_.tmax) {
-      sim_.ScheduleObserverAt(iv, [this] { ContentionTick(); });
-    }
-  }
-
-  active_stat_.Start(0.0, 0.0);
-  blocked_stat_.Start(0.0, 0.0);
-  pending_stat_.Start(0.0, 0.0);
-  window_start_ = cfg_.warmup;
-  if (cfg_.warmup > 0.0) {
-    sim_.ScheduleAt(cfg_.warmup, [this] { BeginMeasurement(); });
-  }
-
+  machine_.Build(cfg_.npros);
+  probe_.Start(&machine_, &stats_, cfg_, /*imputed=*/false,
+               /*counts_aborts=*/false);
+  probe_.StartContentionTicks([this] { ContentionTick(); });
+  stats_.Start(&machine_, cfg_.warmup, &probe_);
   for (int64_t i = 0; i < cfg_.ntrans; ++i) {
-    sim_.ScheduleAt(static_cast<double>(i), [this] {
-      Txn* txn = CreateTransaction(sim_.Now());
+    machine_.sim().ScheduleAt(static_cast<double>(i), [this] {
+      Txn* txn = CreateTransaction(machine_.Now());
       pending_.push_back(txn);
       UpdateQueueStats();
       PumpLockManager();
     });
   }
-  sim_.RunUntil(cfg_.tmax);
+  probe_.ArmWatchdog();
+  machine_.sim().RunUntil(cfg_.tmax);
 
   Report report;
-  core::SimulationMetrics& m = report.metrics;
-  m.measured_time = cfg_.tmax - window_start_;
-  for (int64_t n = 0; n < cfg_.npros; ++n) {
-    m.totcpus_sum += cpu_[static_cast<size_t>(n)]->TotalBusyTime();
-    m.totios_sum += io_[static_cast<size_t>(n)]->TotalBusyTime();
-    m.lockcpus_sum +=
-        cpu_[static_cast<size_t>(n)]->BusyTime(ServiceClass::kLock);
-    m.lockios_sum +=
-        io_[static_cast<size_t>(n)]->BusyTime(ServiceClass::kLock);
-  }
-  m.totcpus = cpu_union_.AnyBusyTime(cfg_.tmax);
-  m.lockcpus = cpu_union_.LockBusyTime(cfg_.tmax);
-  m.totios = io_union_.AnyBusyTime(cfg_.tmax);
-  m.lockios = io_union_.LockBusyTime(cfg_.tmax);
-  const double npros = static_cast<double>(cfg_.npros);
-  m.usefulcpus = (m.totcpus - m.lockcpus) / npros;
-  m.usefulios = (m.totios - m.lockios) / npros;
-  m.totcom = totcom_;
-  m.throughput =
-      m.measured_time > 0.0 ? static_cast<double>(totcom_) / m.measured_time
-                            : 0.0;
-  m.response_time = response_.Mean();
-  m.response_time_stddev = response_.StdDev();
-  m.response_p50 = response_quantiles_.Quantile(0.50);
-  m.response_p95 = response_quantiles_.Quantile(0.95);
-  m.response_p99 = response_quantiles_.Quantile(0.99);
-  m.lock_requests = lock_requests_;
-  m.lock_denials = lock_denials_;
-  m.denial_rate = lock_requests_ > 0 ? static_cast<double>(lock_denials_) /
-                                           static_cast<double>(lock_requests_)
-                                     : 0.0;
-  m.avg_active = active_stat_.Average(cfg_.tmax);
-  m.avg_blocked = blocked_stat_.Average(cfg_.tmax);
-  m.avg_pending = pending_stat_.Average(cfg_.tmax);
-  m.cpu_utilization =
-      m.measured_time > 0.0 ? m.totcpus_sum / (npros * m.measured_time)
-                            : 0.0;
-  m.io_utilization =
-      m.measured_time > 0.0 ? m.totios_sum / (npros * m.measured_time) : 0.0;
-  m.events_executed = sim_.ExecutedEvents();
-
+  report.metrics = stats_.Collect(machine_, cfg_.tmax);
   report.initial_total = initial_total;
   report.final_total = store_->Total();
   report.in_flight_imbalance = net_applied_;
@@ -185,33 +123,9 @@ Result<TransferSimulator::Report> TransferSimulator::Run() {
   return report;
 }
 
-void TransferSimulator::BeginMeasurement() {
-  for (auto& server : cpu_) server->ResetStats();
-  for (auto& server : io_) server->ResetStats();
-  totcom_ = 0;
-  lock_requests_ = 0;
-  lock_denials_ = 0;
-  response_.Reset();
-  response_quantiles_.Reset();
-  const double now = sim_.Now();
-  cpu_union_.ResetWindow(now);
-  io_union_.ResetWindow(now);
-  active_stat_.ResetWindow(now);
-  blocked_stat_.ResetWindow(now);
-  pending_stat_.ResetWindow(now);
-  window_start_ = now;
-}
-
 TransferSimulator::Txn* TransferSimulator::CreateTransaction(
     double arrival_time) {
-  std::unique_ptr<Txn> owned;
-  if (!txn_pool_.empty()) {
-    owned = std::move(txn_pool_.back());
-    txn_pool_.pop_back();
-  } else {
-    owned = std::make_unique<Txn>();
-  }
-  Txn* txn = owned.get();
+  Txn* txn = txns_.Acquire();
   txn->id = next_txn_id_++;
   txn->arrival_time = arrival_time;
   const auto draw_account = [this] {
@@ -223,28 +137,12 @@ TransferSimulator::Txn* TransferSimulator::CreateTransaction(
     txn->to = draw_account();
   } while (txn->to == txn->from);
   txn->amount = rng_.UniformInt(1, 10);
-  live_txns_.push_back(std::move(owned));
   return txn;
 }
 
-void TransferSimulator::DestroyTransaction(Txn* txn) {
-  auto it = std::find_if(
-      live_txns_.begin(), live_txns_.end(),
-      [txn](const std::unique_ptr<Txn>& p) { return p.get() == txn; });
-  GRANULOCK_CHECK(it != live_txns_.end());
-  // Recycle through the pool: the closed system otherwise churns one
-  // short-lived Txn per completion.
-  (*it)->Reset();
-  txn_pool_.push_back(std::move(*it));
-  *it = std::move(live_txns_.back());
-  live_txns_.pop_back();
-}
-
 void TransferSimulator::UpdateQueueStats() {
-  const double now = sim_.Now();
-  active_stat_.Update(now, static_cast<double>(active_.size()));
-  blocked_stat_.Update(now, static_cast<double>(blocked_count_));
-  pending_stat_.Update(now, static_cast<double>(pending_.size()));
+  stats_.UpdateQueues(machine_.Now(), static_cast<int64_t>(active_.size()),
+                      blocked_count_, static_cast<int64_t>(pending_.size()));
 }
 
 void TransferSimulator::PumpLockManager() {
@@ -268,10 +166,10 @@ void TransferSimulator::CheckConsistency() const {
   GRANULOCK_AUDIT_CHECK_GE(outstanding_lock_requests_, 0);
   GRANULOCK_AUDIT_CHECK_GE(blocked_count_, 0);
   GRANULOCK_AUDIT_CHECK_EQ(
-      live_txns_.size(),
+      txns_.live(),
       pending_.size() + static_cast<size_t>(outstanding_lock_requests_) +
           static_cast<size_t>(blocked_count_) + active_.size())
-      << "live=" << live_txns_.size() << " pending=" << pending_.size()
+      << "live=" << txns_.live() << " pending=" << pending_.size()
       << " in_lock=" << outstanding_lock_requests_
       << " blocked=" << blocked_count_ << " active=" << active_.size();
   size_t blocked_from_lists = 0;
@@ -296,42 +194,16 @@ void TransferSimulator::CheckConsistency() const {
 
 void TransferSimulator::BeginLockRequest(Txn* txn) {
   ++outstanding_lock_requests_;
-  ++lock_requests_;
+  stats_.CountLockRequest();
   // Lock cost per the paper's model: per-lock I/O then CPU, shared across
   // all nodes at preemptive priority.
-  const int64_t granule_a = GranuleOfAccount(txn->from);
-  const int64_t granule_b = GranuleOfAccount(txn->to);
-  const double locks = granule_a == granule_b ? 1.0 : 2.0;
+  const double locks =
+      GranuleOfAccount(txn->from) == GranuleOfAccount(txn->to) ? 1.0 : 2.0;
   const double npros = static_cast<double>(cfg_.npros);
-  const double io_share = locks * cfg_.liotime / npros;
-  const double cpu_share = locks * cfg_.lcputime / npros;
-  auto cpu_phase = [this, txn, cpu_share, npros] {
-    if (cpu_share <= 0.0) {
-      FinishLockRequest(txn);
-      return;
-    }
-    txn->lock_fanin_remaining = cfg_.npros;
-    for (int64_t n = 0; n < cfg_.npros; ++n) {
-      cpu_[static_cast<size_t>(n)]->Submit(
-          ServiceClass::kLock, cpu_share, [this, txn] {
-            if (--txn->lock_fanin_remaining == 0) FinishLockRequest(txn);
-          });
-    }
-    (void)npros;
-  };
-  if (io_share <= 0.0) {
-    cpu_phase();
-    return;
-  }
-  txn->lock_fanin_remaining = cfg_.npros;
-  auto shared_cpu_phase =
-      std::make_shared<std::function<void()>>(std::move(cpu_phase));
-  for (int64_t n = 0; n < cfg_.npros; ++n) {
-    io_[static_cast<size_t>(n)]->Submit(
-        ServiceClass::kLock, io_share, [txn, shared_cpu_phase] {
-          if (--txn->lock_fanin_remaining == 0) (*shared_cpu_phase)();
-        });
-  }
+  machine_.PayLockCost(&txn->lock_fanin_remaining,
+                       locks * cfg_.liotime / npros,
+                       locks * cfg_.lcputime / npros,
+                       [this, txn] { FinishLockRequest(txn); });
 }
 
 void TransferSimulator::FinishLockRequest(Txn* txn) {
@@ -340,12 +212,12 @@ void TransferSimulator::FinishLockRequest(Txn* txn) {
   const int64_t granule_b = GranuleOfAccount(txn->to);
   std::vector<LockRequest> requests{{granule_a, LockMode::kX},
                                     {granule_b, LockMode::kX}};
-  auto* prof = options_.contention;
+  auto* prof = probe_.contention();
   lockmgr::ConflictInfo conflict;
   const auto blocker = table_->TryAcquireAll(
       txn->id, requests, prof != nullptr ? &conflict : nullptr);
   if (blocker.has_value()) {
-    ++lock_denials_;
+    stats_.CountLockDenial();
     auto it = active_.find(*blocker);
     GRANULOCK_CHECK(it != active_.end());
     it->second->blocked.push_back(txn);
@@ -353,7 +225,7 @@ void TransferSimulator::FinishLockRequest(Txn* txn) {
     if (prof != nullptr) {
       // Conservative locking cannot chain waiters, so the depth is 1.
       prof->OnBlock(txn->id, conflict.granule, conflict.requested,
-                    conflict.held, /*chain_depth=*/1, sim_.Now());
+                    conflict.held, /*chain_depth=*/1, machine_.Now());
     }
     UpdateQueueStats();
   } else {
@@ -369,35 +241,21 @@ void TransferSimulator::FinishLockRequest(Txn* txn) {
 }
 
 void TransferSimulator::ContentionTick() {
-  auto* prof = options_.contention;
-  const double now = sim_.Now();
   std::vector<std::pair<uint64_t, uint64_t>> edges;
   for (const auto& [id, holder] : active_) {
     for (const Txn* waiter : holder->blocked) {
       edges.emplace_back(waiter->id, id);
     }
   }
-  const double ntrans = static_cast<double>(cfg_.ntrans);
-  const double blocked_fraction =
-      ntrans > 0.0 ? static_cast<double>(blocked_count_) / ntrans : 0.0;
-  const double occupancy =
-      cfg_.ltot > 0
-          ? std::min(1.0, static_cast<double>(table_->LockedGranules()) /
-                              static_cast<double>(cfg_.ltot))
-          : 0.0;
-  prof->OnSample(now, blocked_fraction, occupancy, std::move(edges));
-  const double iv = prof->options().sample_interval;
-  if (now + iv <= cfg_.tmax) {
-    sim_.ScheduleObserverAfter(iv, [this] { ContentionTick(); });
-  }
+  probe_.ContentionSample(std::move(edges), table_->LockedGranules());
 }
 
 void TransferSimulator::StartReads(Txn* txn) {
   txn->phase_remaining = 2;
   const auto read = [this, txn](int64_t account, int64_t* slot) {
-    io_[static_cast<size_t>(store_->NodeOf(account))]->Submit(
-        ServiceClass::kTransaction, cfg_.iotime,
-        [this, txn, account, slot] {
+    machine_.io(store_->NodeOf(account))
+        .Submit(ServiceClass::kTransaction, cfg_.iotime,
+                [this, txn, account, slot] {
           // The balance is captured at read-completion time; it can go
           // stale before the write phase applies it.
           *slot = store_->Read(account);
@@ -412,17 +270,17 @@ void TransferSimulator::OnReadsDone(Txn* txn) {
   if (--txn->phase_remaining > 0) return;
   // Compute phase: validate and build the new balances on the debit
   // account's CPU.
-  cpu_[static_cast<size_t>(store_->NodeOf(txn->from))]->Submit(
-      ServiceClass::kTransaction, 2.0 * cfg_.cputime,
-      [this, txn] { StartWrites(txn); });
+  machine_.cpu(store_->NodeOf(txn->from))
+      .Submit(ServiceClass::kTransaction, 2.0 * cfg_.cputime,
+              [this, txn] { StartWrites(txn); });
 }
 
 void TransferSimulator::StartWrites(Txn* txn) {
   const auto write = [this, txn](int64_t account, int64_t value,
                                  int64_t delta) {
-    io_[static_cast<size_t>(store_->NodeOf(account))]->Submit(
-        ServiceClass::kTransaction, cfg_.iotime,
-        [this, txn, account, value, delta] {
+    machine_.io(store_->NodeOf(account))
+        .Submit(ServiceClass::kTransaction, cfg_.iotime,
+                [this, txn, account, value, delta] {
           store_->Write(account, value);
           net_applied_ += delta;
           if (--txn->phase_remaining == 0) Complete(txn);
@@ -444,23 +302,20 @@ void TransferSimulator::Complete(Txn* txn) {
   GRANULOCK_CHECK(it != active_.end());
   active_.erase(it);
 
-  ++totcom_;
-  response_.Add(sim_.Now() - txn->arrival_time);
-  response_quantiles_.Add(sim_.Now() - txn->arrival_time);
+  stats_.Complete(machine_.Now() - txn->arrival_time);
 
   blocked_count_ -= static_cast<int64_t>(txn->blocked.size());
   for (Txn* released : txn->blocked) {
-    if (auto* prof = options_.contention) {
-      prof->OnUnblock(released->id, sim_.Now());
+    if (auto* prof = probe_.contention()) {
+      prof->OnUnblock(released->id, machine_.Now());
     }
     pending_.push_back(released);
   }
   txn->blocked.clear();
 
-  Txn* fresh = CreateTransaction(sim_.Now());
-  pending_.push_back(fresh);
+  pending_.push_back(CreateTransaction(machine_.Now()));
 
-  DestroyTransaction(txn);
+  txns_.Release(txn);
   UpdateQueueStats();
   PumpLockManager();
 }

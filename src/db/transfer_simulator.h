@@ -7,14 +7,15 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/engine_probe.h"
+#include "core/fault.h"
 #include "core/metrics.h"
+#include "core/run_stats.h"
+#include "core/txn_pool.h"
 #include "lockmgr/lock_table.h"
 #include "model/config.h"
 #include "obs/contention.h"
-#include "sim/busy_union.h"
-#include "sim/priority_server.h"
-#include "sim/simulator.h"
-#include "sim/stats.h"
+#include "sim/machine.h"
 #include "storage/record_store.h"
 #include "util/random.h"
 #include "util/status.h"
@@ -64,6 +65,8 @@ class TransferSimulator {
     /// Attaching it never changes simulated results. Only meaningful
     /// under kConservativeLocking (kNoLocking never blocks).
     obs::ContentionProfiler* contention = nullptr;
+    /// Optional per-cell watchdog; see `core::GranularitySimulator`.
+    const fault::CellWatchdog* watchdog = nullptr;
   };
 
   /// The run outcome: timing metrics plus the data-integrity verdict.
@@ -122,9 +125,7 @@ class TransferSimulator {
   void Complete(Txn* txn);
 
   Txn* CreateTransaction(double arrival_time);
-  void DestroyTransaction(Txn* txn);
   void UpdateQueueStats();
-  void BeginMeasurement();
   /// One periodic contention-profiler sample (observer event; only
   /// scheduled when options_.contention is set).
   void ContentionTick();
@@ -134,11 +135,10 @@ class TransferSimulator {
   Options options_;
   Rng rng_;
 
-  sim::Simulator sim_;
-  std::vector<std::unique_ptr<sim::PriorityServer>> cpu_;
-  std::vector<std::unique_ptr<sim::PriorityServer>> io_;
-  sim::BusyUnionTracker cpu_union_;
-  sim::BusyUnionTracker io_union_;
+  sim::Machine machine_;
+  core::RunStats stats_;
+  core::EngineProbe probe_;
+  core::TxnPool<Txn> txns_;
 
   std::unique_ptr<storage::RecordStore> store_;
   std::unique_ptr<ZipfGenerator> zipf_;
@@ -146,22 +146,10 @@ class TransferSimulator {
 
   std::deque<Txn*> pending_;
   std::unordered_map<lockmgr::TxnId, Txn*> active_;
-  std::vector<std::unique_ptr<Txn>> live_txns_;
-  std::vector<std::unique_ptr<Txn>> txn_pool_;  // recycled Txn objects
   int64_t blocked_count_ = 0;
   int outstanding_lock_requests_ = 0;
   /// Net intended delta of applied writes (see Report::in_flight_imbalance).
   int64_t net_applied_ = 0;
-
-  int64_t totcom_ = 0;
-  int64_t lock_requests_ = 0;
-  int64_t lock_denials_ = 0;
-  sim::RunningStat response_;
-  sim::QuantileEstimator response_quantiles_;
-  sim::TimeWeightedStat active_stat_;
-  sim::TimeWeightedStat blocked_stat_;
-  sim::TimeWeightedStat pending_stat_;
-  double window_start_ = 0.0;
 
   uint64_t next_txn_id_ = 1;
   bool ran_ = false;

@@ -7,7 +7,9 @@
 #include "core/checkpoint.h"
 #include "core/experiment.h"
 #include "core/granularity_simulator.h"
+#include "db/explicit_simulator.h"
 #include "db/incremental_simulator.h"
+#include "db/transfer_simulator.h"
 #include "obs/registry.h"
 #include "sim/invariants.h"
 #include "util/status.h"
@@ -48,12 +50,55 @@ model::SystemConfig SmallConfig() {
   return cfg;
 }
 
-core::CellBody SimBody(const model::SystemConfig& cfg,
+/// The four engines; every one must honour the cell watchdog.
+enum class Engine { kProbabilistic, kExplicit, kIncremental, kTransfer };
+constexpr Engine kAllEngines[] = {Engine::kProbabilistic, Engine::kExplicit,
+                                  Engine::kIncremental, Engine::kTransfer};
+
+const char* EngineName(Engine engine) {
+  switch (engine) {
+    case Engine::kProbabilistic:
+      return "probabilistic";
+    case Engine::kExplicit:
+      return "explicit";
+    case Engine::kIncremental:
+      return "incremental";
+    case Engine::kTransfer:
+      return "transfer";
+  }
+  return "?";
+}
+
+/// A cell body running `engine` with the cell's watchdog attached.
+core::CellBody SimBody(Engine engine, const model::SystemConfig& cfg,
                        const workload::WorkloadSpec& spec, uint64_t seed) {
-  return [&cfg, &spec, seed](const fault::CellWatchdog* wd) {
-    core::GranularitySimulator::Options options;
-    options.watchdog = wd;
-    return core::GranularitySimulator::RunOnce(cfg, spec, seed, options);
+  return [engine, &cfg, &spec,
+          seed](const fault::CellWatchdog* wd) -> Result<SimulationMetrics> {
+    switch (engine) {
+      case Engine::kProbabilistic: {
+        core::GranularitySimulator::Options options;
+        options.watchdog = wd;
+        return core::GranularitySimulator::RunOnce(cfg, spec, seed, options);
+      }
+      case Engine::kExplicit: {
+        db::ExplicitSimulator::Options options;
+        options.watchdog = wd;
+        return db::ExplicitSimulator::RunOnce(cfg, spec, seed, options);
+      }
+      case Engine::kIncremental: {
+        db::IncrementalSimulator::Options options;
+        options.watchdog = wd;
+        return db::IncrementalSimulator::RunOnce(cfg, spec, seed, options);
+      }
+      case Engine::kTransfer: {
+        db::TransferSimulator::Options options;
+        options.watchdog = wd;
+        auto report = db::TransferSimulator::RunOnce(cfg, seed, options);
+        if (!report.ok()) return report.status();
+        return report->metrics;
+      }
+    }
+    return Status::Internal("unknown engine");
   };
 }
 
@@ -161,7 +206,8 @@ TEST_F(FaultInjectionTest, InjectedThrowRetriesWithSameSeedBitIdentically) {
 
   // Clean reference run.
   const CellOutcome clean =
-      RunCell(CellPolicy{}, CellKey{0, 0, 0}, seed, SimBody(cfg, spec, seed));
+      RunCell(CellPolicy{}, CellKey{0, 0, 0}, seed,
+              SimBody(Engine::kProbabilistic, cfg, spec, seed));
   ASSERT_TRUE(clean.result.ok());
   EXPECT_EQ(clean.attempts, 1);
 
@@ -170,8 +216,9 @@ TEST_F(FaultInjectionTest, InjectedThrowRetriesWithSameSeedBitIdentically) {
   ASSERT_TRUE(Injector::Global().ArmFromFlag("cell_throw@0").ok());
   CellPolicy retry_policy;
   retry_policy.max_cell_retries = 1;
-  const CellOutcome retried = RunCell(retry_policy, CellKey{0, 0, 0}, seed,
-                                      SimBody(cfg, spec, seed));
+  const CellOutcome retried =
+      RunCell(retry_policy, CellKey{0, 0, 0}, seed,
+              SimBody(Engine::kProbabilistic, cfg, spec, seed));
   ASSERT_TRUE(retried.result.ok()) << retried.result.status();
   EXPECT_EQ(retried.attempts, 2);
   EXPECT_EQ(Encoded(*retried.result), Encoded(*clean.result));
@@ -229,7 +276,8 @@ TEST_F(FaultInjectionTest, ExhaustedRetriesReportTheLastAttempt) {
   CellPolicy policy;
   policy.max_cell_retries = 2;
   const CellOutcome out =
-      RunCell(policy, CellKey{0, 0, 0}, 7, SimBody(cfg, spec, 7));
+      RunCell(policy, CellKey{0, 0, 0}, 7,
+              SimBody(Engine::kProbabilistic, cfg, spec, 7));
   EXPECT_FALSE(out.result.ok());
   EXPECT_EQ(out.attempts, 3);
   EXPECT_EQ(out.result.status().code(), StatusCode::kInternal);
@@ -240,12 +288,16 @@ TEST_F(FaultInjectionTest, ExhaustedRetriesReportTheLastAttempt) {
 TEST_F(FaultInjectionTest, InjectedTimeoutBecomesDeadlineExceeded) {
   const model::SystemConfig cfg = SmallConfig();
   const workload::WorkloadSpec spec = workload::WorkloadSpec::Base(cfg);
-  ASSERT_TRUE(Injector::Global().ArmFromFlag("cell_timeout@0").ok());
-  const CellOutcome out =
-      RunCell(CellPolicy{}, CellKey{0, 0, 0}, 9, SimBody(cfg, spec, 9));
-  EXPECT_FALSE(out.result.ok());
-  EXPECT_TRUE(out.timed_out);
-  EXPECT_EQ(out.result.status().code(), StatusCode::kDeadlineExceeded);
+  for (Engine engine : kAllEngines) {
+    SCOPED_TRACE(EngineName(engine));
+    Injector::Global().DisarmAll();
+    ASSERT_TRUE(Injector::Global().ArmFromFlag("cell_timeout@0").ok());
+    const CellOutcome out = RunCell(CellPolicy{}, CellKey{0, 0, 0}, 9,
+                                    SimBody(engine, cfg, spec, 9));
+    EXPECT_FALSE(out.result.ok());
+    EXPECT_TRUE(out.timed_out);
+    EXPECT_EQ(out.result.status().code(), StatusCode::kDeadlineExceeded);
+  }
 }
 
 TEST_F(FaultInjectionTest, RealWallDeadlineBecomesDeadlineExceeded) {
@@ -253,29 +305,35 @@ TEST_F(FaultInjectionTest, RealWallDeadlineBecomesDeadlineExceeded) {
   const workload::WorkloadSpec spec = workload::WorkloadSpec::Base(cfg);
   CellPolicy policy;
   policy.cell_timeout_s = 1e-9;  // expires before the first watchdog poll
-  const CellOutcome out =
-      RunCell(policy, CellKey{0, 0, 0}, 11, SimBody(cfg, spec, 11));
-  EXPECT_FALSE(out.result.ok());
-  EXPECT_TRUE(out.timed_out);
-  EXPECT_EQ(out.result.status().code(), StatusCode::kDeadlineExceeded);
-  EXPECT_NE(out.result.status().ToString().find("cell_timeout_s"),
-            std::string::npos);
+  for (Engine engine : kAllEngines) {
+    SCOPED_TRACE(EngineName(engine));
+    const CellOutcome out = RunCell(policy, CellKey{0, 0, 0}, 11,
+                                    SimBody(engine, cfg, spec, 11));
+    EXPECT_FALSE(out.result.ok());
+    EXPECT_TRUE(out.timed_out);
+    EXPECT_EQ(out.result.status().code(), StatusCode::kDeadlineExceeded);
+    EXPECT_NE(out.result.status().ToString().find("cell_timeout_s"),
+              std::string::npos);
+  }
 }
 
 TEST_F(FaultInjectionTest, WatchdogDoesNotPerturbSimulatedResults) {
   const model::SystemConfig cfg = SmallConfig();
   const workload::WorkloadSpec spec = workload::WorkloadSpec::Base(cfg);
-  const CellOutcome clean =
-      RunCell(CellPolicy{}, CellKey{0, 0, 0}, 5, SimBody(cfg, spec, 5));
-  ASSERT_TRUE(clean.result.ok());
   // A generous deadline arms the watchdog observer chain but never fires;
   // the metrics must be bit-identical to the unwatched run.
   CellPolicy policy;
   policy.cell_timeout_s = 3600.0;
-  const CellOutcome watched =
-      RunCell(policy, CellKey{0, 0, 0}, 5, SimBody(cfg, spec, 5));
-  ASSERT_TRUE(watched.result.ok());
-  EXPECT_EQ(Encoded(*watched.result), Encoded(*clean.result));
+  for (Engine engine : kAllEngines) {
+    SCOPED_TRACE(EngineName(engine));
+    const CellOutcome clean = RunCell(CellPolicy{}, CellKey{0, 0, 0}, 5,
+                                      SimBody(engine, cfg, spec, 5));
+    ASSERT_TRUE(clean.result.ok());
+    const CellOutcome watched =
+        RunCell(policy, CellKey{0, 0, 0}, 5, SimBody(engine, cfg, spec, 5));
+    ASSERT_TRUE(watched.result.ok());
+    EXPECT_EQ(Encoded(*watched.result), Encoded(*clean.result));
+  }
 }
 
 TEST_F(FaultInjectionTest, AuditFailureIsContainedWithMessage) {
@@ -283,7 +341,8 @@ TEST_F(FaultInjectionTest, AuditFailureIsContainedWithMessage) {
   const workload::WorkloadSpec spec = workload::WorkloadSpec::Base(cfg);
   ASSERT_TRUE(Injector::Global().ArmFromFlag("cell_audit_fail@0").ok());
   const CellOutcome out =
-      RunCell(CellPolicy{}, CellKey{0, 0, 0}, 3, SimBody(cfg, spec, 3));
+      RunCell(CellPolicy{}, CellKey{0, 0, 0}, 3,
+              SimBody(Engine::kProbabilistic, cfg, spec, 3));
   EXPECT_FALSE(out.result.ok());
   EXPECT_EQ(out.result.status().code(), StatusCode::kInternal);
   const std::string text = out.result.status().ToString();
@@ -356,7 +415,8 @@ TEST_F(FaultInjectionTest, InterruptFlagCancelsBeforeCellStarts) {
   CellPolicy policy;
   policy.interrupt = &interrupt;
   const CellOutcome out =
-      RunCell(policy, CellKey{0, 0, 0}, 1, SimBody(cfg, spec, 1));
+      RunCell(policy, CellKey{0, 0, 0}, 1,
+              SimBody(Engine::kProbabilistic, cfg, spec, 1));
   EXPECT_FALSE(out.result.ok());
   EXPECT_EQ(out.result.status().code(), StatusCode::kCancelled);
   EXPECT_EQ(out.attempts, 0);
