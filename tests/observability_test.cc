@@ -31,6 +31,20 @@ model::SystemConfig TestConfig() {
   return cfg;
 }
 
+// Claim-as-needed under contention: worst placement at MPL 16, where every
+// contention policy aborts and restarts transactions mid-stage.
+model::SystemConfig ContendedConfig() {
+  model::SystemConfig cfg = TestConfig();
+  cfg.ntrans = 16;
+  return cfg;
+}
+
+workload::WorkloadSpec WorstPlacement(const model::SystemConfig& cfg) {
+  workload::WorkloadSpec spec = workload::WorkloadSpec::Base(cfg);
+  spec.placement = model::Placement::kWorst;
+  return spec;
+}
+
 // Field-by-field bit-identity of two runs. EXPECT_EQ on doubles is exact
 // equality — that is the contract: observability must not perturb the
 // simulation at all, not merely stay within tolerance.
@@ -170,13 +184,20 @@ TEST(PhaseDecompositionTest, ExplicitEngineSumsToResponse) {
 }
 
 TEST(PhaseDecompositionTest, IncrementalEngineSumsToResponse) {
-  const model::SystemConfig cfg = TestConfig();
-  auto m = db::IncrementalSimulator::RunOnce(
-      cfg, workload::WorkloadSpec::Base(cfg), 11);
-  ASSERT_TRUE(m.ok()) << m.status();
-  ExpectPhasesSumToResponse(*m);
-  // No pending queue in the claim-as-needed engine.
-  EXPECT_EQ(m->phase_pending_wait, 0.0);
+  const model::SystemConfig cfg = ContendedConfig();
+  for (int k = 0; k < db::kNumContentionPolicies; ++k) {
+    const auto policy = static_cast<db::ContentionPolicyKind>(k);
+    SCOPED_TRACE(db::ContentionPolicyName(policy));
+    db::IncrementalSimulator::Options options;
+    options.contention.policy = policy;
+    auto m = db::IncrementalSimulator::RunOnce(cfg, WorstPlacement(cfg), 11,
+                                               options);
+    ASSERT_TRUE(m.ok()) << m.status();
+    ExpectPhasesSumToResponse(*m);
+    EXPECT_GT(m->deadlock_aborts, 0);  // the abort paths ran
+    // No pending queue in the claim-as-needed engine.
+    EXPECT_EQ(m->phase_pending_wait, 0.0);
+  }
 }
 
 TEST(PhaseDecompositionTest, SurvivesWarmupDiscard) {
@@ -220,16 +241,22 @@ TEST(SpanTraceTest, ExplicitEngineSpansReconcile) {
 }
 
 TEST(SpanTraceTest, IncrementalEngineSpansReconcile) {
-  const model::SystemConfig cfg = TestConfig();
-  obs::SpanRecorder spans;
-  db::IncrementalSimulator::Options options;
-  options.obs.spans = &spans;
-  auto m = db::IncrementalSimulator::RunOnce(
-      cfg, workload::WorkloadSpec::Base(cfg), 5, options);
-  ASSERT_TRUE(m.ok()) << m.status();
-  EXPECT_GT(spans.completed_txns(), 0u);
-  const Status reconciled = spans.CheckReconciliation();
-  EXPECT_TRUE(reconciled.ok()) << reconciled;
+  const model::SystemConfig cfg = ContendedConfig();
+  for (int k = 0; k < db::kNumContentionPolicies; ++k) {
+    const auto policy = static_cast<db::ContentionPolicyKind>(k);
+    SCOPED_TRACE(db::ContentionPolicyName(policy));
+    obs::SpanRecorder spans;
+    db::IncrementalSimulator::Options options;
+    options.contention.policy = policy;
+    options.obs.spans = &spans;
+    auto m = db::IncrementalSimulator::RunOnce(cfg, WorstPlacement(cfg), 5,
+                                               options);
+    ASSERT_TRUE(m.ok()) << m.status();
+    EXPECT_GT(m->deadlock_aborts, 0);
+    EXPECT_GT(spans.completed_txns(), 0u);
+    const Status reconciled = spans.CheckReconciliation();
+    EXPECT_TRUE(reconciled.ok()) << reconciled;
+  }
 }
 
 TEST(SpanTraceTest, ChromeTraceValidatesWithPerProcessorTracks) {
