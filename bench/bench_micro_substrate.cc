@@ -235,7 +235,9 @@ void BM_RunReplicatedParallel(benchmark::State& state) {
   // End-to-end replication fan-out through ParallelRunner. Thread count is
   // the benchmark argument; 1 uses the serial inline path. On a
   // single-core host all counts measure the same work plus pool overhead;
-  // with N cores the speedup approaches min(N, replications).
+  // with N cores the speedup approaches min(N, replications). Timed in
+  // wall-clock time: the main thread mostly waits on the workers, so its
+  // CPU time would inflate items/s with the thread count.
   const int threads = static_cast<int>(state.range(0));
   model::SystemConfig cfg = model::SystemConfig::Table1Defaults();
   cfg.tmax = 500.0;
@@ -250,6 +252,7 @@ void BM_RunReplicatedParallel(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 8);
 }
 BENCHMARK(BM_RunReplicatedParallel)->Arg(1)->Arg(2)->Arg(4)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 void BM_ZipfSample(benchmark::State& state) {
