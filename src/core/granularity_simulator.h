@@ -2,20 +2,15 @@
 #define GRANULOCK_CORE_GRANULARITY_SIMULATOR_H_
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
-#include <vector>
 
-#include "core/engine_probe.h"
+#include "core/conservative_protocol.h"
 #include "core/fault.h"
 #include "core/metrics.h"
-#include "core/run_stats.h"
-#include "core/txn_pool.h"
 #include "model/config.h"
 #include "model/conflict.h"
 #include "obs/hooks.h"
-#include "sim/machine.h"
 #include "sim/trace.h"
 #include "util/arena.h"
 #include "util/random.h"
@@ -24,29 +19,10 @@
 
 namespace granulock::core {
 
-/// The paper's simulation model (§2, Figure 1): a closed system of
-/// `ntrans` transactions cycling through a shared-nothing multiprocessor.
-///
-/// Life of a transaction:
-///  1. It sits in the FIFO *pending* queue. When it reaches the head and
-///     the lock manager is free, its lock request is processed: the
-///     request/set/release work (`LU*liotime` of I/O and `LU*lcputime` of
-///     CPU) is shared equally by all processors and served at preemptive
-///     priority over transaction work. The cost is paid whether or not the
-///     locks are granted.
-///  2. Conflicts are decided by the probabilistic Ries–Stonebraker model
-///     over the currently active transactions. A blocked transaction waits
-///     in the *blocked* queue until its blocker completes, then re-enters
-///     the pending queue (and pays the lock cost again).
-///  3. A granted transaction splits into `PU` sub-transactions on distinct
-///     nodes (all nodes under horizontal partitioning), each performing
-///     `NU/PU` entities' worth of I/O then CPU in its node's FCFS queues.
-///  4. When the last sub-transaction finishes, the transaction completes,
-///     releases its locks and its blocked transactions, and is replaced by
-///     a fresh transaction with new random parameters.
-///
-/// Deadlock is impossible (conservative locking: all locks are requested
-/// up front).
+/// The paper's simulation model (§2, Figure 1): the conservative-locking
+/// protocol (`ConservativeProtocol`) with conflicts decided by the
+/// probabilistic Ries–Stonebraker model over the currently active
+/// transactions, plus the admission controls the paper leaves as remedies.
 class GranularitySimulator {
  public:
   /// Policies that the paper leaves implicit, exposed for ablation.
@@ -124,27 +100,25 @@ class GranularitySimulator {
   friend struct AuditTestPeer;  // invariants_test corrupts state through it
 
   struct Txn;
+  using Protocol = ConservativeProtocol<GranularitySimulator, Txn>;
+  friend Protocol;
 
-  /// Closed-system conservation audit (runs at quiescent points when
-  /// `sim::invariants::DeepAuditEnabled()`): every live transaction is in
-  /// exactly one of pending / lock-processing / blocked / active, the
-  /// blocked count matches the blockers' lists, and each active
-  /// transaction has sub-transactions outstanding.
+  // --- the protocol's hooks (see ConservativeProtocol) ---
+  Txn* CreateTransaction();
+  /// Conflict draw over the active transactions' lock counts.
+  Txn* Decide(Txn* txn);
+  void OnGranted(Txn* txn);
+  void OnReleased(Txn* txn);
+  int64_t AdmissionCap() const {
+    return options_.adaptive_admission ? adaptive_cap_ : options_.max_active;
+  }
+  /// The probabilistic engine has no lock table; occupancy is estimated
+  /// from the locks the active transactions nominally hold.
+  int64_t LockedGranules() const { return active_lu_total_; }
+  /// The protocol's conservation audit, then that `active_lu_total_`
+  /// matches the active transactions.
   void CheckConsistency() const;
 
-  // --- lifecycle stages (see class comment) ---
-  void PumpLockManager();
-  void BeginLockRequest(Txn* txn);
-  void FinishLockRequest(Txn* txn);
-  void Grant(Txn* txn);
-  void Complete(Txn* txn);
-
-  Txn* CreateTransaction(double arrival_time);
-  void EnqueuePending(Txn* txn, bool at_tail);
-  void UpdateQueueStats();
-  /// One periodic contention-profiler sample (observer event; only
-  /// scheduled when options_.obs.contention is set).
-  void ContentionTick();
   /// Adaptive admission: periodically retune the MPL cap from the denial
   /// rate observed in the last window.
   void AdaptAdmissionCap();
@@ -165,30 +139,20 @@ class GranularitySimulator {
   Rng contention_rng_;
   model::ConflictModel conflict_;
 
-  sim::Machine machine_;
-  RunStats stats_;
-  EngineProbe probe_;
-  TxnPool<Txn> txns_;
-
-  std::deque<Txn*> pending_;
-  std::vector<Txn*> active_;  // holding locks, running sub-transactions
-  /// Exact sum of `params.lu` over `active_` (maintained at grant /
-  /// complete, audited in CheckConsistency). Lets the conflict draw skip
-  /// the partial-sum scan entirely whenever the scaled variate exceeds the
-  /// total — the common case at low contention — without changing any
-  /// outcome: integer partial sums below 2^53 are exact in a double, so
-  /// "variate > total" is precisely the old loop's fall-through condition.
+  Protocol protocol_;
+  /// Exact sum of `params.lu` over the active transactions (maintained at
+  /// grant / release, audited in CheckConsistency). Lets the conflict draw
+  /// skip the partial-sum scan entirely whenever the scaled variate
+  /// exceeds the total — the common case at low contention — without
+  /// changing any outcome: integer partial sums below 2^53 are exact in a
+  /// double, so "variate > total" is precisely the old loop's
+  /// fall-through condition.
   int64_t active_lu_total_ = 0;
-  int64_t blocked_count_ = 0;
-  int outstanding_lock_requests_ = 0;
 
   // Adaptive admission controller state.
   int64_t adaptive_cap_ = 0;
   int64_t window_requests_ = 0;
   int64_t window_denials_ = 0;
-
-  uint64_t next_txn_id_ = 1;
-  bool ran_ = false;
 };
 
 }  // namespace granulock::core

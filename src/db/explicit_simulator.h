@@ -2,23 +2,17 @@
 #define GRANULOCK_DB_EXPLICIT_SIMULATOR_H_
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
-#include <unordered_map>
-#include <vector>
 
-#include "core/engine_probe.h"
+#include "core/conservative_protocol.h"
 #include "core/fault.h"
 #include "core/metrics.h"
-#include "core/run_stats.h"
-#include "core/txn_pool.h"
 #include "db/granule_selector.h"
 #include "lockmgr/hierarchical.h"
 #include "lockmgr/lock_table.h"
 #include "model/config.h"
 #include "obs/hooks.h"
-#include "sim/machine.h"
 #include "sim/trace.h"
 #include "util/random.h"
 #include "util/status.h"
@@ -26,11 +20,14 @@
 
 namespace granulock::db {
 
-/// The same closed shared-nothing system as `core::GranularitySimulator`,
-/// but with an **explicit lock table** instead of the Ries–Stonebraker
-/// probabilistic conflict model: every transaction locks a concrete set of
-/// granules (drawn by `SelectGranules`), conflicts are detected against
-/// real holders, and lock cost is charged per lock actually set.
+/// The same closed shared-nothing system and conservative-locking protocol
+/// (`core::ConservativeProtocol`) as `core::GranularitySimulator`, but
+/// requests are decided by an **explicit lock table** instead of the
+/// Ries–Stonebraker probabilistic conflict model: every transaction locks
+/// a concrete set of granules (drawn by `SelectGranules`), conflicts are
+/// detected against real holders, and lock cost is charged per lock
+/// actually set. The lock manager processes one request at a time, and
+/// released transactions rejoin the tail of the pending queue.
 ///
 /// Two purposes:
 ///  1. Cross-validation — the paper *approximates* conflicts; this engine
@@ -69,8 +66,6 @@ class ExplicitSimulator {
     /// Probability that a transaction is read-only and takes S locks
     /// (default 0: all transactions update, matching the paper).
     double read_fraction = 0.0;
-    /// Process one lock request at a time (see DESIGN.md §4.2).
-    bool serialize_lock_manager = true;
     /// Optional lifecycle tracer (not owned; must outlive the run).
     sim::TraceRecorder* trace = nullptr;
     /// Optional observability sinks (not owned; must outlive the run).
@@ -103,42 +98,22 @@ class ExplicitSimulator {
   friend struct AuditTestPeer;  // invariants_test corrupts state through it
 
   struct Txn;
+  using Protocol = core::ConservativeProtocol<ExplicitSimulator, Txn>;
+  friend Protocol;
 
-  /// Deep audit (runs at quiescent points when
-  /// `sim::invariants::DeepAuditEnabled()`): closed-system conservation,
-  /// blocked-list accounting, depth-one waits-for (conservative locking
-  /// cannot chain waiters), and the active lock table's own
-  /// `CheckConsistency` — every active transaction holds locks, nobody
-  /// else does.
+  // --- the protocol's hooks (see core::ConservativeProtocol) ---
+  /// Draws the transaction's concrete lock set and its per-attempt cost.
+  Txn* CreateTransaction();
+  /// Attempts the acquisition against the active lock table.
+  Txn* Decide(Txn* txn);
+  void OnGranted(Txn* txn);
+  void OnReleased(Txn* txn);
+  int64_t AdmissionCap() const { return 0; }
+  int64_t LockedGranules() const;
+  /// Deep audit: the protocol's conservation audit, then the active lock
+  /// table's own `CheckConsistency` — every active transaction holds
+  /// locks, nobody else does.
   void CheckConsistency() const;
-
-  void PumpLockManager();
-  void BeginLockRequest(Txn* txn);
-  void FinishLockRequest(Txn* txn);
-  void Grant(Txn* txn);
-  void Complete(Txn* txn);
-
-  Txn* CreateTransaction(double arrival_time);
-  void EnqueuePending(Txn* txn);
-  void UpdateQueueStats();
-  /// One periodic contention-profiler sample (observer event; only
-  /// scheduled when options_.obs.contention is set).
-  void ContentionTick();
-
-  /// Contention attribution for a refused acquisition, in the profiler's
-  /// key space (granule g -> g, file f -> FileObjectKey(f), root ->
-  /// kRootObjectKey).
-  struct DenialInfo {
-    int64_t key = 0;
-    lockmgr::LockMode requested = lockmgr::LockMode::kX;
-    lockmgr::LockMode held = lockmgr::LockMode::kX;
-  };
-
-  /// Attempts the acquisition against whichever lock manager is active;
-  /// returns the blocking transaction id or nullopt. When refused and
-  /// `denial` is non-null, it is filled with the colliding object/modes.
-  std::optional<lockmgr::TxnId> TryAcquire(Txn* txn, DenialInfo* denial);
-  void ReleaseLocks(Txn* txn);
 
   model::SystemConfig cfg_;
   workload::WorkloadSpec spec_;
@@ -148,21 +123,10 @@ class ExplicitSimulator {
   std::optional<workload::TransactionFactory> txn_factory_;
   Rng rng_;
 
-  sim::Machine machine_;
-  core::RunStats stats_;
-  core::EngineProbe probe_;
-  core::TxnPool<Txn> txns_;
-
   std::unique_ptr<lockmgr::LockTable> flat_table_;
   std::unique_ptr<lockmgr::HierarchicalLockManager> hier_table_;
 
-  std::deque<Txn*> pending_;
-  std::unordered_map<lockmgr::TxnId, Txn*> active_;
-  int64_t blocked_count_ = 0;
-  int outstanding_lock_requests_ = 0;
-
-  uint64_t next_txn_id_ = 1;
-  bool ran_ = false;
+  Protocol protocol_;
 };
 
 }  // namespace granulock::db
