@@ -768,6 +768,13 @@ void PrintOptimaSummary(const FigureData& data) {
 CellRunner::CellRunner(std::string experiment_id, const BenchArgs& args,
                        const std::string& canonical_inputs)
     : experiment_id_(std::move(experiment_id)), args_(args) {
+  if (args.reps != 1) {
+    std::fprintf(stderr,
+                 "--reps=%lld is not supported by %s: each of its cells runs "
+                 "once with --seed; pass --reps=1\n",
+                 (long long)args.reps, experiment_id_.c_str());
+    std::exit(2);
+  }
   const std::string canonical =
       experiment_id_ +
       StrFormat("|seed=%lld|reps=%lld|tmax=%.17g|warmup=%.17g|q=%d|",

@@ -241,7 +241,8 @@ class CellRunner {
  public:
   /// `canonical_inputs` must describe everything beyond the standard args
   /// that determines the results (configs, workloads, engine options); it
-  /// extends the journal fingerprint.
+  /// extends the journal fingerprint. Each cell runs once with
+  /// `args.seed`, so any `--reps` other than 1 exits with code 2.
   CellRunner(std::string experiment_id, const BenchArgs& args,
              const std::string& canonical_inputs);
 

@@ -398,5 +398,14 @@ TEST(KillResumeTest, ReplayedFigureReportIsByteIdentical) {
   EXPECT_EQ(resumed.report.cells_completed, 6);
 }
 
+// --- CellRunner runs each cell once: --reps must not be silently ignored ---
+
+TEST(CellRunnerDeathTest, RejectsRepsOtherThanOne) {
+  bench::BenchArgs args;
+  args.reps = 3;
+  EXPECT_EXIT(bench::CellRunner("ablation_mgl", args, ""),
+              ::testing::ExitedWithCode(2), "--reps=3 is not supported");
+}
+
 }  // namespace
 }  // namespace granulock
