@@ -422,6 +422,29 @@ TEST_F(FaultInjectionTest, InterruptFlagCancelsBeforeCellStarts) {
   EXPECT_EQ(out.attempts, 0);
 }
 
+TEST_F(FaultInjectionTest, InterruptMidCellCancelsEveryEngine) {
+  const model::SystemConfig cfg = SmallConfig();
+  const workload::WorkloadSpec spec = workload::WorkloadSpec::Base(cfg);
+  for (Engine engine : kAllEngines) {
+    SCOPED_TRACE(EngineName(engine));
+    // The interrupt arrives after the cell started: only the engine's
+    // watchdog poll can see it.
+    std::atomic<bool> interrupt{false};
+    CellPolicy policy;
+    policy.interrupt = &interrupt;
+    const core::CellBody run = SimBody(engine, cfg, spec, 1);
+    const CellOutcome out = RunCell(
+        policy, CellKey{0, 0, 0}, 1,
+        [&](const fault::CellWatchdog* wd) -> Result<SimulationMetrics> {
+          interrupt = true;
+          return run(wd);
+        });
+    EXPECT_FALSE(out.result.ok());
+    EXPECT_EQ(out.result.status().code(), StatusCode::kCancelled);
+    EXPECT_EQ(out.attempts, 1);
+  }
+}
+
 TEST_F(FaultInjectionTest, RetriedFlakyCellCountsRetriesInReport) {
   const model::SystemConfig cfg = SmallConfig();
   const workload::WorkloadSpec spec = workload::WorkloadSpec::Base(cfg);
