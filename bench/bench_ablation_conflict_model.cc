@@ -10,11 +10,14 @@
 //  * explicit      — requester blocked iff its concrete granule set
 //                    intersects an active transaction's set.
 //
-// What to look for: the two throughput curves should have the same shape
-// and nearby optima. Best placement makes the probabilistic model slightly
-// pessimistic (contiguous granule runs overlap *less* than independent
-// uniform marks at low lock counts), so the explicit curve sits a little
-// above the probabilistic one around the optimum.
+// What to look for: the two throughput curves have the same shape and the
+// same optimum (ltot = 10 in the full run). The explicit curve sits below
+// the probabilistic one at every ltot: within about 3% up to ltot = 200,
+// then increasingly lower at finer granularity (17% at ltot = 5000), where
+// the model under-predicts denials (0.34 vs 0.46). At small lock counts
+// the model is the pessimistic one about denials (contiguous granule runs
+// overlap *less* than independent uniform marks), yet the explicit
+// engine's throughput is still a little lower there.
 
 #include <cstdio>
 #include <iostream>

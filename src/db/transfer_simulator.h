@@ -96,7 +96,8 @@ class TransferSimulator {
   TransferSimulator& operator=(const TransferSimulator&) = delete;
 
   /// Validates, runs to `cfg.tmax`, returns the report. Call once.
-  /// `cfg.maxtransize` is ignored (every transfer touches 2 records).
+  /// `cfg.maxtransize` is ignored (every transfer touches 2 records), and
+  /// so is `cfg.think_time`: a completed transfer is replaced at once.
   Result<Report> Run();
 
   static Result<Report> RunOnce(const model::SystemConfig& cfg,
