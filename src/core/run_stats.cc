@@ -20,6 +20,8 @@ void RunStats::Start(sim::Machine* machine, double warmup,
 void RunStats::BeginMeasurement(sim::Machine* machine, EngineProbe* probe) {
   const double now = machine->Now();
   machine->ResetWindow();
+  warmup_lock_requests_ = counts_.lock_requests;
+  warmup_lock_denials_ = counts_.lock_denials;
   counts_ = Counts{};
   response_.Reset();
   response_quantiles_.Reset();
