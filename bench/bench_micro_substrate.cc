@@ -1,6 +1,6 @@
 // google-benchmark microbenchmarks for the simulation substrate: the
-// event engine, the preemptive-priority server, the lock managers, and the
-// analytic model pieces. These quantify the cost of the building blocks
+// event engine, the preemptive-priority server, the machine's lock lanes,
+// the lock managers, and the analytic model pieces. These quantify the cost of the building blocks
 // that the figure benches exercise millions of times.
 
 #include <benchmark/benchmark.h>
@@ -14,6 +14,7 @@
 #include "lockmgr/waits_for.h"
 #include "model/conflict.h"
 #include "model/placement.h"
+#include "sim/machine.h"
 #include "sim/priority_server.h"
 #include "sim/stats.h"
 #include "sim/simulator.h"
@@ -131,6 +132,30 @@ void BM_PriorityServerThroughput(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * jobs);
 }
 BENCHMARK(BM_PriorityServerThroughput)->Arg(1000);
+
+void BM_PayLockCost(benchmark::State& state) {
+  // One lock-manager request on a machine of range(0) nodes, every node
+  // busy on transaction work: each phase preempts and resumes every node's
+  // job through its pool's lock lane. items/sec counts requests.
+  const int64_t npros = state.range(0);
+  sim::Machine machine;
+  machine.Build(npros);
+  for (int64_t n = 0; n < npros; ++n) {
+    // Far longer than the run: the jobs stay resident, and no simulated
+    // time passes between requests, so they never progress.
+    machine.io(n).Submit(sim::ServiceClass::kTransaction, 1e12, [] {});
+    machine.cpu(n).Submit(sim::ServiceClass::kTransaction, 1e12, [] {});
+  }
+  int64_t paid = 0;
+  for (auto _ : state) {
+    const int64_t target = paid + 1;
+    machine.PayLockCost(0.01, 0.01, [&paid] { ++paid; });
+    while (paid < target) machine.sim().Step();
+  }
+  benchmark::DoNotOptimize(machine.sim().ExecutedEvents());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_PayLockCost)->Arg(1)->Arg(10)->Arg(30);
 
 void BM_LockTableAcquireRelease(benchmark::State& state) {
   const int64_t locks_per_txn = state.range(0);

@@ -68,8 +68,8 @@ namespace granulock::core {
 ///  - `void CheckConsistency() const`: the deep audit at every quiescent
 ///    point; it starts with this protocol's `CheckConsistency`.
 ///
-/// `Txn` provides what `ForkJoin` and `TxnPool` need, plus `arrival_time`,
-/// `lock_fanin_remaining` and `blocked` (the transactions it blocks).
+/// `Txn` provides what `ForkJoin` and `TxnPool` need, plus `arrival_time`
+/// and `blocked` (the transactions it blocks).
 template <typename Engine, typename Txn>
 class ConservativeProtocol {
  public:
@@ -145,11 +145,13 @@ class ConservativeProtocol {
     if (sim::invariants::DeepAuditEnabled()) engine_->CheckConsistency();
   }
 
-  /// Closed-system conservation audit: every live transaction is pending,
-  /// paying lock cost, blocked behind an active transaction, or active;
-  /// the blocked count matches the blockers' lists; each active
-  /// transaction has between 1 and `pu` sub-transactions outstanding.
+  /// Closed-system conservation audit, after the machine's own: every
+  /// live transaction is pending, paying lock cost, blocked behind an
+  /// active transaction, or active; the blocked count matches the
+  /// blockers' lists; each active transaction has between 1 and `pu`
+  /// sub-transactions outstanding.
   void CheckConsistency() const {
+    machine_.CheckConsistency();
     GRANULOCK_AUDIT_CHECK_GE(in_flight_, 0);
     GRANULOCK_AUDIT_CHECK_GE(blocked_count_, 0);
     GRANULOCK_AUDIT_CHECK_EQ(
@@ -225,8 +227,7 @@ class ConservativeProtocol {
     probe_.LockRequested(txn->id, txn->params.lu, txn->clock.pending_since);
     // The request is decided once every node has done its share.
     const double npros = static_cast<double>(cfg_->npros);
-    machine_.PayLockCost(&txn->lock_fanin_remaining,
-                         txn->params.lock_io_demand / npros,
+    machine_.PayLockCost(txn->params.lock_io_demand / npros,
                          txn->params.lock_cpu_demand / npros,
                          [this, txn] { FinishLockRequest(txn); });
   }

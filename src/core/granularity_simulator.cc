@@ -23,7 +23,6 @@ struct GranularitySimulator::Txn {
   workload::TransactionParams params;
   double arrival_time = 0.0;  // first entry into the pending queue
   int64_t subtxns_remaining = 0;
-  int64_t lock_fanin_remaining = 0;  // sim::Machine::PayLockCost counter
   std::vector<Txn*, util::ArenaAllocator<Txn*>> blocked;
 
   PhaseClock clock;  // phase accounting, always on
@@ -38,7 +37,6 @@ struct GranularitySimulator::Txn {
     id = 0;
     arrival_time = 0.0;
     subtxns_remaining = 0;
-    lock_fanin_remaining = 0;
     blocked.clear();
     clock = {};
     sub_cpu_done.clear();

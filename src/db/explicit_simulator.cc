@@ -49,7 +49,6 @@ struct ExplicitSimulator::Txn {
   workload::TransactionParams params;
   double arrival_time = 0.0;
   int64_t subtxns_remaining = 0;
-  int64_t lock_fanin_remaining = 0;  // sim::Machine::PayLockCost counter
   std::vector<Txn*> blocked;
 
   /// Granules this transaction locks (kFlat, or kHierarchical fine path).
@@ -67,7 +66,6 @@ struct ExplicitSimulator::Txn {
     id = 0;
     arrival_time = 0.0;
     subtxns_remaining = 0;
-    lock_fanin_remaining = 0;
     blocked.clear();
     granules.clear();
     coarse = false;

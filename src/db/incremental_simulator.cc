@@ -26,8 +26,7 @@ struct IncrementalSimulator::Txn {
   LockMode mode = LockMode::kX;
   std::vector<int64_t> granules;  // acquisition order (shuffled)
   size_t next_lock = 0;
-  int64_t subtxns_remaining = 0;     // current stage's fork-join
-  int64_t lock_fanin_remaining = 0;  // sim::Machine::PayLockCost counter
+  int64_t subtxns_remaining = 0;  // current stage's fork-join
   int64_t restarts = 0;
   /// Wounded by a contention policy while running: aborts at its next
   /// safe point (lock cost paid / stage join) instead of proceeding.
@@ -54,7 +53,6 @@ struct IncrementalSimulator::Txn {
     granules.clear();
     next_lock = 0;
     subtxns_remaining = 0;
-    lock_fanin_remaining = 0;
     restarts = 0;
     doomed = false;
     clock = {};
@@ -234,8 +232,7 @@ void IncrementalSimulator::RequestNextLock(Txn* txn) {
   // preemptive priority (same sharing rule as the conservative engines,
   // scaled to a single lock).
   const double npros = static_cast<double>(cfg_.npros);
-  machine_.PayLockCost(&txn->lock_fanin_remaining, cfg_.liotime / npros,
-                       cfg_.lcputime / npros,
+  machine_.PayLockCost(cfg_.liotime / npros, cfg_.lcputime / npros,
                        [this, txn] { OnLockCostPaid(txn); });
 }
 
@@ -337,6 +334,7 @@ void IncrementalSimulator::ResolveConflict(Txn* txn, int64_t granule) {
 }
 
 void IncrementalSimulator::CheckConsistency() const {
+  machine_.CheckConsistency();
   GRANULOCK_AUDIT_CHECK_GE(running_count_, 0);
   GRANULOCK_AUDIT_CHECK_GE(waiting_count_, 0);
   GRANULOCK_AUDIT_CHECK_GE(in_backoff_, 0);

@@ -109,19 +109,18 @@ class IncrementalSimulator {
   class PolicyDirectory;
 
   /// Deep audit (runs at quiescent points when
-  /// `sim::invariants::DeepAuditEnabled()`): every live transaction is
-  /// running, waiting, backing off after an abort, or parked by the
-  /// admission controller; the wait count matches the lock table; the
-  /// table's own invariants hold; no doomed transaction is queued; and
-  /// the waits-for graph rebuilt from the table is acyclic (every cycle
-  /// is broken by a victim abort the moment its closing edge appears —
-  /// by construction under the timestamp/wait-depth policies).
+  /// `sim::invariants::DeepAuditEnabled()`): the machine's own audit; every
+  /// live transaction is running, waiting, backing off after an abort, or
+  /// parked by the admission controller; the wait count matches the lock
+  /// table; the table's own invariants hold; no doomed transaction is
+  /// queued; and the waits-for graph rebuilt from the table is acyclic
+  /// (every cycle is broken by a victim abort the moment its closing edge
+  /// appears — by construction under the timestamp/wait-depth policies).
   void CheckConsistency() const;
 
   void StartTransaction(Txn* txn);
   void RequestNextLock(Txn* txn);
   void OnLockCostPaid(Txn* txn);
-  void OnLockGranted(Txn* txn);
   void DoStageWork(Txn* txn);
   void OnStageDone(Txn* txn);
   void Complete(Txn* txn);

@@ -26,7 +26,6 @@ struct TransferSimulator::Txn {
   int64_t read_from = 0;
   int64_t read_to = 0;
   int64_t phase_remaining = 0;
-  int64_t lock_fanin_remaining = 0;  // sim::Machine::PayLockCost counter
   std::vector<Txn*> blocked;
 
   /// Freshly-constructed state, vectors' capacity kept (core::TxnPool).
@@ -39,7 +38,6 @@ struct TransferSimulator::Txn {
     read_from = 0;
     read_to = 0;
     phase_remaining = 0;
-    lock_fanin_remaining = 0;
     blocked.clear();
   }
 };
@@ -163,6 +161,7 @@ void TransferSimulator::PumpLockManager() {
 }
 
 void TransferSimulator::CheckConsistency() const {
+  machine_.CheckConsistency();
   GRANULOCK_AUDIT_CHECK_GE(outstanding_lock_requests_, 0);
   GRANULOCK_AUDIT_CHECK_GE(blocked_count_, 0);
   GRANULOCK_AUDIT_CHECK_EQ(
@@ -200,8 +199,7 @@ void TransferSimulator::BeginLockRequest(Txn* txn) {
   const double locks =
       GranuleOfAccount(txn->from) == GranuleOfAccount(txn->to) ? 1.0 : 2.0;
   const double npros = static_cast<double>(cfg_.npros);
-  machine_.PayLockCost(&txn->lock_fanin_remaining,
-                       locks * cfg_.liotime / npros,
+  machine_.PayLockCost(locks * cfg_.liotime / npros,
                        locks * cfg_.lcputime / npros,
                        [this, txn] { FinishLockRequest(txn); });
 }

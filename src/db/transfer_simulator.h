@@ -111,10 +111,11 @@ class TransferSimulator {
   struct Txn;
 
   /// Deep audit (runs at quiescent points when
-  /// `sim::invariants::DeepAuditEnabled()`): closed-system conservation
-  /// over pending / lock-processing / blocked / active, blocked-list
-  /// accounting, and — under conservative locking — the lock table's own
-  /// invariants with exactly the active transactions holding locks.
+  /// `sim::invariants::DeepAuditEnabled()`): the machine's own audit,
+  /// closed-system conservation over pending / lock-processing / blocked /
+  /// active, blocked-list accounting, and — under conservative locking —
+  /// the lock table's own invariants with exactly the active transactions
+  /// holding locks.
   void CheckConsistency() const;
 
   void PumpLockManager();

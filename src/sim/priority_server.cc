@@ -7,49 +7,123 @@
 
 namespace granulock::sim {
 
-PriorityServer::PriorityServer(Simulator* sim, std::string name)
+LockLane::LockLane(Simulator* sim, std::string name)
     : sim_(sim), name_(std::move(name)) {
   GRANULOCK_CHECK(sim_ != nullptr);
 }
 
+void LockLane::Submit(SimTime service, Completion on_complete) {
+  GRANULOCK_CHECK_GE(service, 0.0) << "negative service demand on " << name_;
+  ++accepted_;
+  queue_.push_back(Job{service, std::move(on_complete)});
+  if (queue_.size() > 1) return;  // waits behind the job in service
+  // Preemptive-resume: lock work interrupts every member's transaction
+  // work.
+  for (PriorityServer* member : members_) member->EnterLockService();
+  BeginService();
+}
+
+void LockLane::BeginService() {
+  service_start_ = sim_->Now();
+  sim_->ScheduleAfter(queue_.front().service, [this] { FinishCurrent(); });
+}
+
+void LockLane::FinishCurrent() {
+  busy_time_ += sim_->Now() - service_start_;
+  ++completed_;
+  ++finished_;
+  GRANULOCK_DCHECK_LE(finished_, accepted_)
+      << "lane " << name_ << " finished more jobs than were submitted";
+  Completion done = std::move(queue_.front().on_complete);
+  queue_.pop_front();
+  if (queue_.empty()) {
+    for (PriorityServer* member : members_) member->LeaveLockService();
+  } else {
+    // Hand-off: every member goes straight on to the next lock job. Its
+    // busy transitions still land at this instant, as with one server
+    // per node, and the next completion is scheduled before the finished
+    // job's continuation runs.
+    for (PriorityServer* member : members_) {
+      member->NotifyTransition(/*entering=*/false, ServiceClass::kLock);
+      member->NotifyTransition(/*entering=*/true, ServiceClass::kLock);
+    }
+    BeginService();
+  }
+  if (done) done();
+}
+
+double LockLane::BusyTime() const {
+  double t = busy_time_;
+  if (busy()) t += sim_->Now() - service_start_;
+  return t;
+}
+
+void LockLane::ResetStats() {
+  busy_time_ = 0.0;
+  completed_ = 0;
+  // Drop the already-delivered portion of the in-progress job from the
+  // post-reset accounting window; its completion event is unaffected.
+  if (busy()) service_start_ = sim_->Now();
+}
+
+void LockLane::CheckConsistency() const {
+  // Conservation: accepted == finished + queued (the head in service).
+  GRANULOCK_AUDIT_CHECK_EQ(accepted_, finished_ + queue_.size())
+      << "lane " << name_ << ": accepted=" << accepted_
+      << " finished=" << finished_ << " queued=" << queue_.size();
+  GRANULOCK_AUDIT_CHECK_GE(busy_time_, 0.0) << "lane " << name_;
+  // The windowed completion counter can never exceed the lifetime one.
+  GRANULOCK_AUDIT_CHECK_LE(completed_, finished_) << "lane " << name_;
+  for (const Job& job : queue_) {
+    GRANULOCK_AUDIT_CHECK_GE(job.service, 0.0)
+        << "lane " << name_ << " queued job";
+  }
+  if (!busy()) return;
+  GRANULOCK_AUDIT_CHECK_LE(service_start_, sim_->Now())
+      << "lane " << name_ << " service started in the future";
+  for (const PriorityServer* member : members_) {
+    GRANULOCK_AUDIT_CHECK(!member->current_.has_value())
+        << "server " << member->name() << " serves transaction work while "
+        << "lane " << name_ << " is busy";
+  }
+}
+
+PriorityServer::PriorityServer(Simulator* sim, std::string name)
+    : sim_(sim),
+      name_(std::move(name)),
+      own_lane_(std::make_unique<LockLane>(sim, name_)),
+      lane_(own_lane_.get()) {
+  lane_->members_.push_back(this);
+}
+
+PriorityServer::PriorityServer(Simulator* sim, std::string name,
+                               LockLane* lane)
+    : sim_(sim), name_(std::move(name)), lane_(lane) {
+  GRANULOCK_CHECK(sim_ != nullptr);
+  GRANULOCK_CHECK(lane_ != nullptr && lane_->sim_ == sim_)
+      << "server " << name_ << " must share its lane's simulator";
+  GRANULOCK_CHECK(!lane_->busy()) << "server " << name_
+                                  << " cannot join a busy lane";
+  lane_->members_.push_back(this);
+}
+
 void PriorityServer::Submit(ServiceClass cls, SimTime service,
                             Completion on_complete) {
-  GRANULOCK_CHECK_GE(service, 0.0) << "negative service demand on " << name_;
-  ++accepted_[ClassIndex(cls)];
-  queues_[ClassIndex(cls)].push_back(
-      Job{cls, service, std::move(on_complete)});
-  if (current_.has_value()) {
-    // Preemptive-resume: lock work interrupts transaction work.
-    if (cls == ServiceClass::kLock &&
-        current_->cls == ServiceClass::kTransaction) {
-      PreemptCurrent();
-      StartNextIfIdle();
-    }
+  if (cls == ServiceClass::kLock) {
+    lane_->Submit(service, std::move(on_complete));
     return;
   }
+  GRANULOCK_CHECK_GE(service, 0.0) << "negative service demand on " << name_;
+  ++accepted_;
+  queue_.push_back(Job{service, std::move(on_complete)});
   StartNextIfIdle();
 }
 
 void PriorityServer::StartNextIfIdle() {
-  if (current_.has_value()) return;
-  for (int c = 0; c < kNumServiceClasses; ++c) {
-    if (!queues_[c].empty()) {
-      Job job = std::move(queues_[c].front());
-      queues_[c].pop_front();
-      BeginService(std::move(job));
-      return;
-    }
-  }
-}
-
-void PriorityServer::SetTransitionObserver(TransitionObserver observer) {
-  observer_ = std::move(observer);
-}
-
-void PriorityServer::BeginService(Job job) {
-  GRANULOCK_CHECK(!current_.has_value());
-  current_ = std::move(job);
-  NotifyTransition(/*entering=*/true, current_->cls);
+  if (current_.has_value() || lane_->busy() || queue_.empty()) return;
+  current_ = std::move(queue_.front());
+  queue_.pop_front();
+  NotifyTransition(/*entering=*/true, ServiceClass::kTransaction);
   service_start_ = sim_->Now();
   completion_event_ =
       sim_->ScheduleAfter(current_->remaining, [this] { FinishCurrent(); });
@@ -57,40 +131,44 @@ void PriorityServer::BeginService(Job job) {
 
 void PriorityServer::FinishCurrent() {
   GRANULOCK_CHECK(current_.has_value());
-  const int c = ClassIndex(current_->cls);
-  busy_time_[c] += sim_->Now() - service_start_;
-  ++completed_[c];
-  ++finished_[c];
-  GRANULOCK_DCHECK_LE(finished_[c], accepted_[c])
-      << "server " << name_ << " finished more class-" << c
-      << " jobs than were submitted";
-  NotifyTransition(/*entering=*/false, current_->cls);
+  busy_time_ += sim_->Now() - service_start_;
+  ++completed_;
+  ++finished_;
+  GRANULOCK_DCHECK_LE(finished_, accepted_)
+      << "server " << name_
+      << " finished more transaction jobs than were submitted";
+  NotifyTransition(/*entering=*/false, ServiceClass::kTransaction);
   Completion done = std::move(current_->on_complete);
   current_.reset();
   StartNextIfIdle();
   if (done) done();
 }
 
-void PriorityServer::PreemptCurrent() {
-  GRANULOCK_CHECK(current_.has_value());
-  sim_->Cancel(completion_event_);
-  const SimTime served = sim_->Now() - service_start_;
-  const int c = ClassIndex(current_->cls);
-  busy_time_[c] += served;
-  NotifyTransition(/*entering=*/false, current_->cls);
-  Job job = std::move(*current_);
-  current_.reset();
-  job.remaining -= served;
-  if (job.remaining < 0.0) job.remaining = 0.0;
-  // Resume at the head of its class queue so FCFS order is preserved.
-  queues_[c].push_front(std::move(job));
+void PriorityServer::EnterLockService() {
+  if (current_.has_value()) {
+    sim_->Cancel(completion_event_);
+    const SimTime served = sim_->Now() - service_start_;
+    busy_time_ += served;
+    NotifyTransition(/*entering=*/false, ServiceClass::kTransaction);
+    Job job = std::move(*current_);
+    current_.reset();
+    job.remaining -= served;
+    if (job.remaining < 0.0) job.remaining = 0.0;
+    // Resume at the head of the queue so FCFS order is preserved.
+    queue_.push_front(std::move(job));
+  }
+  NotifyTransition(/*entering=*/true, ServiceClass::kLock);
+}
+
+void PriorityServer::LeaveLockService() {
+  NotifyTransition(/*entering=*/false, ServiceClass::kLock);
+  StartNextIfIdle();
 }
 
 double PriorityServer::BusyTime(ServiceClass cls) const {
-  double t = busy_time_[ClassIndex(cls)];
-  if (current_.has_value() && current_->cls == cls) {
-    t += sim_->Now() - service_start_;
-  }
+  if (cls == ServiceClass::kLock) return lane_->BusyTime();
+  double t = busy_time_;
+  if (current_.has_value()) t += sim_->Now() - service_start_;
   return t;
 }
 
@@ -99,48 +177,36 @@ double PriorityServer::TotalBusyTime() const {
 }
 
 uint64_t PriorityServer::CompletedJobs(ServiceClass cls) const {
-  return completed_[ClassIndex(cls)];
+  return cls == ServiceClass::kLock ? lane_->CompletedJobs() : completed_;
 }
 
 void PriorityServer::ResetStats() {
-  for (int c = 0; c < kNumServiceClasses; ++c) {
-    busy_time_[c] = 0.0;
-    completed_[c] = 0;
-  }
+  busy_time_ = 0.0;
+  completed_ = 0;
   // Drop the already-delivered portion of the in-progress job from the
-  // post-reset accounting window.
-  if (current_.has_value()) {
-    service_start_ = sim_->Now();
-    // Note: `remaining` already reflects only future demand because the
-    // completion event was scheduled from the original start; adjust it so
-    // the event time stays consistent. The completion event encodes the
-    // absolute finish time, so nothing further is needed here.
-  }
+  // post-reset accounting window. The completion event encodes the
+  // absolute finish time, so nothing further is needed here.
+  if (current_.has_value()) service_start_ = sim_->Now();
+  if (own_lane_ != nullptr) own_lane_->ResetStats();
 }
 
 size_t PriorityServer::QueueLength(ServiceClass cls) const {
-  return queues_[ClassIndex(cls)].size();
+  return cls == ServiceClass::kLock ? lane_->QueueLength() : queue_.size();
 }
 
 void PriorityServer::CheckConsistency() const {
-  for (int c = 0; c < kNumServiceClasses; ++c) {
-    // Conservation: accepted == finished + queued + in-service, per class.
-    const uint64_t in_service =
-        current_.has_value() && ClassIndex(current_->cls) == c ? 1 : 0;
-    GRANULOCK_AUDIT_CHECK_EQ(accepted_[c],
-                             finished_[c] + queues_[c].size() + in_service)
-        << "server " << name_ << " class " << c << ": accepted="
-        << accepted_[c] << " finished=" << finished_[c] << " queued="
-        << queues_[c].size() << " in_service=" << in_service;
-    GRANULOCK_AUDIT_CHECK_GE(busy_time_[c], 0.0)
-        << "server " << name_ << " class " << c;
-    // The windowed completion counter can never exceed the lifetime one.
-    GRANULOCK_AUDIT_CHECK_LE(completed_[c], finished_[c])
-        << "server " << name_ << " class " << c;
-    for (const Job& job : queues_[c]) {
-      GRANULOCK_AUDIT_CHECK_GE(job.remaining, 0.0)
-          << "server " << name_ << " queued job in class " << c;
-    }
+  // Conservation: accepted == finished + queued + in-service.
+  const uint64_t in_service = current_.has_value() ? 1 : 0;
+  GRANULOCK_AUDIT_CHECK_EQ(accepted_, finished_ + queue_.size() + in_service)
+      << "server " << name_ << ": accepted=" << accepted_
+      << " finished=" << finished_ << " queued=" << queue_.size()
+      << " in_service=" << in_service;
+  GRANULOCK_AUDIT_CHECK_GE(busy_time_, 0.0) << "server " << name_;
+  // The windowed completion counter can never exceed the lifetime one.
+  GRANULOCK_AUDIT_CHECK_LE(completed_, finished_) << "server " << name_;
+  for (const Job& job : queue_) {
+    GRANULOCK_AUDIT_CHECK_GE(job.remaining, 0.0)
+        << "server " << name_ << " queued job";
   }
   if (current_.has_value()) {
     GRANULOCK_AUDIT_CHECK_GE(current_->remaining, 0.0)
@@ -148,6 +214,7 @@ void PriorityServer::CheckConsistency() const {
     GRANULOCK_AUDIT_CHECK_LE(service_start_, sim_->Now())
         << "server " << name_ << " service started in the future";
   }
+  if (own_lane_ != nullptr) own_lane_->CheckConsistency();
 }
 
 }  // namespace granulock::sim

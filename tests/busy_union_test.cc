@@ -83,10 +83,7 @@ class ServerPoolUnionTest : public ::testing::Test {
     for (int i = 0; i < 2; ++i) {
       servers_.push_back(
           std::make_unique<PriorityServer>(&sim_, "s" + std::to_string(i)));
-      servers_.back()->SetTransitionObserver(
-          [this](double now, int da, int dl) {
-            tracker_.Transition(now, da, dl);
-          });
+      servers_.back()->SetBusyUnion(&tracker_);
     }
   }
   Simulator sim_;
