@@ -353,7 +353,7 @@ std::vector<GoldenRow> GoldenRows() {
                     return Encode(GranularitySimulator::RunOnce(
                         cfg, workload::WorkloadSpec::Base(cfg), 42));
                   },
-                  "849e0010605a1be3"});
+                  "d5517f155f8ebb3b"});
   rows.push_back({"probabilistic/think_time+max_active",
                   [] {
                     auto cfg = GoldenConfig(1000.0);
@@ -366,7 +366,7 @@ std::vector<GoldenRow> GoldenRows() {
                     return Encode(GranularitySimulator::RunOnce(
                         cfg, workload::WorkloadSpec::Base(cfg), 7, options));
                   },
-                  "80feeae1cfc6ff67"});
+                  "58fcd408e3808200"});
   rows.push_back({"probabilistic/adaptive_admission",
                   [] {
                     auto cfg = GoldenConfig(1000.0);
@@ -377,7 +377,7 @@ std::vector<GoldenRow> GoldenRows() {
                     return Encode(GranularitySimulator::RunOnce(
                         cfg, workload::WorkloadSpec::Base(cfg), 11, options));
                   },
-                  "5c7222e41ab8c349"});
+                  "bcd1dd9fe5f2341b"});
   rows.push_back({"explicit/flat",
                   [] {
                     const auto cfg = GoldenConfig(1000.0);
@@ -386,7 +386,7 @@ std::vector<GoldenRow> GoldenRows() {
                     spec.placement = model::Placement::kRandom;
                     return Encode(ExplicitSimulator::RunOnce(cfg, spec, 3));
                   },
-                  "f6104f8c96bedc93"});
+                  "16a7591354c0793b"});
   rows.push_back({"explicit/mgl_files_escalation_readers",
                   [] {
                     auto cfg = GoldenConfig(1000.0);
@@ -405,24 +405,24 @@ std::vector<GoldenRow> GoldenRows() {
                     return Encode(
                         ExplicitSimulator::RunOnce(cfg, spec, 4, options));
                   },
-                  "e0f2de6621982509"});
+                  "ed5db12eb439362b"});
   const struct {
     const char* name;
     ContentionPolicyKind kind;
     const char* digest;
   } policies[] = {
       {"incremental/detect", ContentionPolicyKind::kDetectRequester,
-       "cbcf4b67e164d848"},
+       "791cf1d8deae5583"},
       {"incremental/detect_fewest_locks",
-       ContentionPolicyKind::kDetectFewestLocks, "d798946423806399"},
+       ContentionPolicyKind::kDetectFewestLocks, "da2ec5c7d8bf22e6"},
       {"incremental/detect_youngest", ContentionPolicyKind::kDetectYoungest,
-       "91f5f72242d65eb9"},
+       "e27568cb2e47aa9f"},
       {"incremental/wound_wait", ContentionPolicyKind::kWoundWait,
-       "bb72ba062a4de477"},
+       "e56b1b651f55402e"},
       {"incremental/wait_die", ContentionPolicyKind::kWaitDie,
-       "eecf540af7b1698a"},
+       "b7632d8e0eb1185d"},
       {"incremental/wait_depth", ContentionPolicyKind::kWaitDepth,
-       "a00839c543fb7839"},
+       "40031da05a9c7cd5"},
   };
   for (const auto& p : policies) {
     const ContentionPolicyKind kind = p.kind;
@@ -434,14 +434,14 @@ std::vector<GoldenRow> GoldenRows() {
                     return RunIncremental(
                         ContentionPolicyKind::kDetectRequester, true);
                   },
-                  "115ebee3320c7189"});
+                  "24d3dc8dc4a9da46"});
   rows.push_back({"transfer/conservative",
                   [] {
                     return RunTransfer(db::TransferSimulator::
                                            ConcurrencyControl::
                                                kConservativeLocking);
                   },
-                  "9cffe4b4835cfc40"});
+                  "b3044b9c4fe48e3d"});
   rows.push_back({"transfer/no_locking",
                   [] {
                     return RunTransfer(
