@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "sim/simulator.h"
@@ -50,6 +51,21 @@ TEST_F(PriorityServerTest, LockJobPreemptsTransactionJob) {
   EXPECT_DOUBLE_EQ(txn_done, 6.0);
   EXPECT_DOUBLE_EQ(server_.BusyTime(ServiceClass::kLock), 2.0);
   EXPECT_DOUBLE_EQ(server_.BusyTime(ServiceClass::kTransaction), 4.0);
+}
+
+TEST_F(PriorityServerTest, PreemptedJobResumesAheadOfLaterJobs) {
+  std::vector<std::pair<int, double>> done;
+  server_.Submit(ServiceClass::kTransaction, 4.0,
+                 [&] { done.emplace_back(1, sim_.Now()); });
+  server_.Submit(ServiceClass::kTransaction, 1.0,
+                 [&] { done.emplace_back(2, sim_.Now()); });
+  sim_.ScheduleAt(1.0, [&] {
+    server_.Submit(ServiceClass::kLock, 2.0, [] {});
+  });
+  sim_.RunUntilEmpty();
+  // The preempted job keeps its place at the head of the queue: it
+  // finishes its remaining 3.0 at t = 6, before the job queued behind it.
+  EXPECT_EQ(done, (std::vector<std::pair<int, double>>{{1, 6.0}, {2, 7.0}}));
 }
 
 TEST_F(PriorityServerTest, LockJobsDoNotPreemptEachOther) {
