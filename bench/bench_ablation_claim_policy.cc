@@ -22,7 +22,7 @@
 
 int main(int argc, char** argv) {
   using namespace granulock;
-  bench::BenchArgs args = bench::ParseArgsOrDie(argc, argv);
+  const bench::BenchArgs args = bench::ParseArgsOrDie(argc, argv);
   model::SystemConfig base = model::SystemConfig::Table1Defaults();
   base.npros = 10;
   bench::PrintBanner("Ablation: claim policy",
@@ -31,60 +31,77 @@ int main(int argc, char** argv) {
                      "(npros=10, best placement)",
                      base, args);
 
-  // Checkpoint/containment wrapper: series 0/1 = conservative/incremental
-  // with best placement, 2/3 = the same with worst placement below.
-  // Non-default contention flags change the incremental results, so they
-  // extend the fingerprint; default runs keep their historical journals.
+  // One cell per (protocol, placement, ltot): series 0/1 =
+  // conservative/incremental with best placement over every ltot, then
+  // 2/3 = the same with worst placement. Non-default contention flags
+  // change the incremental results, so they extend the fingerprint;
+  // default runs keep their historical journals.
+  bench::BenchGrid grid;
+  grid.experiment_id = "ablation_claim_policy";
+  grid.seeds = bench::SingleCellSeeds(grid.experiment_id, args);
+  grid.labels = {"conservative/best", "incremental/best", "conservative/worst",
+                 "incremental/worst"};
   model::SystemConfig fp_cfg = base;
   args.Apply(&fp_cfg);
   std::string canonical =
-      fp_cfg.ToString() + ";base_workload;incremental_2pl";
+      "|" + fp_cfg.ToString() + ";base_workload;incremental_2pl";
   if (!args.ContentionIsDefault()) canonical += ";" + args.DescribeContention();
-  bench::CellRunner cells("ablation_claim_policy", args, canonical);
+  grid.fingerprint =
+      bench::RunFingerprint(grid.experiment_id, args, canonical);
   db::IncrementalSimulator::Options iopt;
   iopt.contention = args.Contention();
   const std::vector<int64_t> sweep = core::StandardLockSweep(base.dbsize);
-  const uint64_t seed = static_cast<uint64_t>(args.seed);
+  for (const model::Placement placement :
+       {model::Placement::kBest, model::Placement::kWorst}) {
+    const int series = placement == model::Placement::kBest ? 0 : 2;
+    for (size_t p = 0; p < sweep.size(); ++p) {
+      model::SystemConfig cfg = base;
+      cfg.ltot = sweep[p];
+      args.Apply(&cfg);
+      workload::WorkloadSpec spec = workload::WorkloadSpec::Base(cfg);
+      spec.placement = placement;
+      grid.points.push_back(
+          {series, static_cast<int>(p), cfg.ltot,
+           bench::EngineCell<core::GranularitySimulator>(cfg, spec, {})});
+      grid.points.push_back(
+          {series + 1, static_cast<int>(p), cfg.ltot,
+           bench::EngineCell<db::IncrementalSimulator>(cfg, spec, iopt)});
+    }
+  }
+  core::RunReport report;
+  const std::vector<core::ReplicatedMetrics> cells =
+      bench::RunBenchGrid(grid, args, &report);
 
-  TablePrinter table({"locks", "conservative tp", "incremental tp",
-                      "deadlock aborts", "wait rate"});
-  for (size_t p = 0; p < sweep.size(); ++p) {
-    const int64_t ltot = sweep[p];
-    model::SystemConfig cfg = base;
-    cfg.ltot = ltot;
-    args.Apply(&cfg);
-    const workload::WorkloadSpec spec = workload::WorkloadSpec::Base(cfg);
-    auto conservative = cells.Run(
-        0, static_cast<int>(p), ltot, seed,
-        [&](const fault::CellWatchdog* wd) {
-          core::GranularitySimulator::Options opt;
-          opt.watchdog = wd;
-          return core::GranularitySimulator::RunOnce(cfg, spec, seed, opt);
-        });
-    auto incremental = cells.Run(
-        1, static_cast<int>(p), ltot, seed,
-        [&](const fault::CellWatchdog* wd) {
-          db::IncrementalSimulator::Options opt = iopt;
-          opt.watchdog = wd;
-          return db::IncrementalSimulator::RunOnce(cfg, spec, seed, opt);
-        });
-    const bool ok = conservative.ok() && incremental.ok();
-    table.AddRow(
-        {StrFormat("%lld", (long long)ltot),
-         conservative.ok() ? StrFormat("%.5g", conservative->throughput)
+  // Renders one placement's half of the grid.
+  const auto render = [&](size_t half) {
+    TablePrinter table({"locks", "conservative tp", "incremental tp",
+                        "deadlock aborts", "wait rate"});
+    for (size_t p = 0; p < sweep.size(); ++p) {
+      const size_t i = 2 * (half * sweep.size() + p);
+      const core::ReplicatedMetrics& conservative = cells[i];
+      const core::ReplicatedMetrics& incremental = cells[i + 1];
+      const bool conservative_ok = conservative.replications > 0;
+      const bool incremental_ok = incremental.replications > 0;
+      const bool ok = conservative_ok && incremental_ok;
+      table.AddRow(
+          {StrFormat("%lld", (long long)sweep[p]),
+           conservative_ok ? StrFormat("%.5g", conservative.mean.throughput)
                            : std::string("-"),
-         incremental.ok() ? StrFormat("%.5g", incremental->throughput)
+           incremental_ok ? StrFormat("%.5g", incremental.mean.throughput)
                           : std::string("-"),
-         ok ? StrFormat("%lld", (long long)incremental->deadlock_aborts)
-            : std::string("-"),
-         ok ? StrFormat("%.3f", incremental->denial_rate)
-            : std::string("-")});
-  }
-  if (args.csv) {
-    table.PrintCsv(std::cout);
-  } else {
-    table.Print(std::cout);
-  }
+           ok ? StrFormat("%lld", (long long)incremental.mean.deadlock_aborts)
+              : std::string("-"),
+           ok ? StrFormat("%.3f", incremental.mean.denial_rate)
+              : std::string("-")});
+    }
+    if (args.csv) {
+      table.PrintCsv(std::cout);
+    } else {
+      table.Print(std::cout);
+    }
+    return table;
+  };
+  const TablePrinter table = render(0);
   std::printf(
       "\nreading the table: both protocols should peak in the same "
       "coarse-to-moderate region, confirming the paper's footnote that the "
@@ -96,46 +113,7 @@ int main(int argc, char** argv) {
   // hold-and-wait cycles actually form and the deadlock detector earns
   // its keep.
   std::printf("--- random access order (worst placement) ---\n");
-  TablePrinter table2({"locks", "conservative tp", "incremental tp",
-                       "deadlock aborts", "wait rate"});
-  for (size_t p = 0; p < sweep.size(); ++p) {
-    const int64_t ltot = sweep[p];
-    model::SystemConfig cfg = base;
-    cfg.ltot = ltot;
-    args.Apply(&cfg);
-    workload::WorkloadSpec spec = workload::WorkloadSpec::Base(cfg);
-    spec.placement = model::Placement::kWorst;
-    auto conservative = cells.Run(
-        2, static_cast<int>(p), ltot, seed,
-        [&](const fault::CellWatchdog* wd) {
-          core::GranularitySimulator::Options opt;
-          opt.watchdog = wd;
-          return core::GranularitySimulator::RunOnce(cfg, spec, seed, opt);
-        });
-    auto incremental = cells.Run(
-        3, static_cast<int>(p), ltot, seed,
-        [&](const fault::CellWatchdog* wd) {
-          db::IncrementalSimulator::Options opt = iopt;
-          opt.watchdog = wd;
-          return db::IncrementalSimulator::RunOnce(cfg, spec, seed, opt);
-        });
-    const bool ok = conservative.ok() && incremental.ok();
-    table2.AddRow(
-        {StrFormat("%lld", (long long)ltot),
-         conservative.ok() ? StrFormat("%.5g", conservative->throughput)
-                           : std::string("-"),
-         incremental.ok() ? StrFormat("%.5g", incremental->throughput)
-                          : std::string("-"),
-         ok ? StrFormat("%lld", (long long)incremental->deadlock_aborts)
-            : std::string("-"),
-         ok ? StrFormat("%.3f", incremental->denial_rate)
-            : std::string("-")});
-  }
-  if (args.csv) {
-    table2.PrintCsv(std::cout);
-  } else {
-    table2.Print(std::cout);
-  }
+  const TablePrinter table2 = render(1);
   std::printf(
       "\nunder random access both protocols agree that ltot = 1 is "
       "optimal; away from it, claim-as-needed collapses into an abort "
@@ -143,7 +121,6 @@ int main(int argc, char** argv) {
       "almost surely), which strengthens — not weakens — the paper's "
       "coarse-granularity conclusion for large random-access "
       "transactions.\n");
-  cells.Finish();
   bench::MaybeWriteTableJsonReport(
       "ablation_claim_policy",
       {{"best_placement", &table}, {"worst_placement", &table2}}, args);

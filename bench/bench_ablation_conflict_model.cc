@@ -35,58 +35,63 @@ int main(int argc, char** argv) {
                      "explicit lock table (npros=10, best placement)",
                      base, args);
 
-  const std::vector<int64_t> lock_counts =
-      core::StandardLockSweep(base.dbsize);
-  // Checkpoint/containment wrapper: series 0 = probabilistic, 1 = explicit.
+  // One cell per (engine, ltot), both engines at each ltot in turn.
+  bench::BenchGrid grid;
+  grid.experiment_id = "ablation_conflict_model";
+  grid.seeds = bench::SingleCellSeeds(grid.experiment_id, args);
+  grid.labels = {"probabilistic", "explicit"};
   model::SystemConfig fp_cfg = base;
   args.Apply(&fp_cfg);
-  bench::CellRunner cells("ablation_conflict_model", args,
-                          fp_cfg.ToString() + ";base_workload;explicit_table");
-  const uint64_t seed = static_cast<uint64_t>(args.seed);
+  grid.fingerprint = bench::RunFingerprint(
+      grid.experiment_id, args,
+      "|" + fp_cfg.ToString() + ";base_workload;explicit_table");
+  const std::vector<int64_t> lock_counts =
+      core::StandardLockSweep(base.dbsize);
+  for (size_t p = 0; p < lock_counts.size(); ++p) {
+    model::SystemConfig cfg = base;
+    cfg.ltot = lock_counts[p];
+    args.Apply(&cfg);
+    const workload::WorkloadSpec spec = workload::WorkloadSpec::Base(cfg);
+    const int point = static_cast<int>(p);
+    grid.points.push_back(
+        {0, point, cfg.ltot,
+         bench::EngineCell<core::GranularitySimulator>(cfg, spec, {})});
+    grid.points.push_back(
+        {1, point, cfg.ltot,
+         bench::EngineCell<db::ExplicitSimulator>(cfg, spec, {})});
+  }
+  core::RunReport report;
+  const std::vector<core::ReplicatedMetrics> cells =
+      bench::RunBenchGrid(grid, args, &report);
+
   TablePrinter table({"locks", "probabilistic", "explicit", "prob denial",
                       "expl denial"});
   int64_t best_prob = 1, best_expl = 1;
   double best_prob_tp = -1.0, best_expl_tp = -1.0;
   for (size_t p = 0; p < lock_counts.size(); ++p) {
     const int64_t ltot = lock_counts[p];
-    model::SystemConfig cfg = base;
-    cfg.ltot = ltot;
-    args.Apply(&cfg);
-    const workload::WorkloadSpec spec = workload::WorkloadSpec::Base(cfg);
-
-    auto prob = cells.Run(0, static_cast<int>(p), ltot, seed,
-                          [&](const fault::CellWatchdog* wd) {
-                            core::GranularitySimulator::Options opt;
-                            opt.watchdog = wd;
-                            return core::GranularitySimulator::RunOnce(
-                                cfg, spec, seed, opt);
-                          });
-    auto expl = cells.Run(1, static_cast<int>(p), ltot, seed,
-                          [&](const fault::CellWatchdog* wd) {
-                            db::ExplicitSimulator::Options opt;
-                            opt.watchdog = wd;
-                            return db::ExplicitSimulator::RunOnce(cfg, spec,
-                                                                  seed, opt);
-                          });
-    if (prob.ok() && prob->throughput > best_prob_tp) {
-      best_prob_tp = prob->throughput;
+    const core::ReplicatedMetrics& prob = cells[2 * p];
+    const core::ReplicatedMetrics& expl = cells[2 * p + 1];
+    const bool prob_ok = prob.replications > 0;
+    const bool expl_ok = expl.replications > 0;
+    if (prob_ok && prob.mean.throughput > best_prob_tp) {
+      best_prob_tp = prob.mean.throughput;
       best_prob = ltot;
     }
-    if (expl.ok() && expl->throughput > best_expl_tp) {
-      best_expl_tp = expl->throughput;
+    if (expl_ok && expl.mean.throughput > best_expl_tp) {
+      best_expl_tp = expl.mean.throughput;
       best_expl = ltot;
     }
     table.AddRow({StrFormat("%lld", (long long)ltot),
-                  prob.ok() ? StrFormat("%.5g", prob->throughput)
-                            : std::string("-"),
-                  expl.ok() ? StrFormat("%.5g", expl->throughput)
-                            : std::string("-"),
-                  prob.ok() ? StrFormat("%.3f", prob->denial_rate)
-                            : std::string("-"),
-                  expl.ok() ? StrFormat("%.3f", expl->denial_rate)
-                            : std::string("-")});
+                  prob_ok ? StrFormat("%.5g", prob.mean.throughput)
+                          : std::string("-"),
+                  expl_ok ? StrFormat("%.5g", expl.mean.throughput)
+                          : std::string("-"),
+                  prob_ok ? StrFormat("%.3f", prob.mean.denial_rate)
+                          : std::string("-"),
+                  expl_ok ? StrFormat("%.3f", expl.mean.denial_rate)
+                          : std::string("-")});
   }
-  cells.Finish();
   if (args.csv) {
     table.PrintCsv(std::cout);
   } else {

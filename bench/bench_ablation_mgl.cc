@@ -51,58 +51,64 @@ int main(int argc, char** argv) {
   db::ExplicitSimulator::Options gamma = mgl;
   gamma.escalation_threshold = 20;
 
-  // Checkpoint/containment wrapper: each (strategy, ltot) simulation is
-  // one cell. The base config is part of the fingerprint; the per-point
+  // One cell per (strategy, ltot), the three strategies at each ltot in
+  // turn. The base config is part of the fingerprint; the per-point
   // ltot/num_files tweaks are functions of the grid.
-  {
-    model::SystemConfig fp_cfg = base;
-    args.Apply(&fp_cfg);
-    bench::CellRunner cells(
-        "ablation_mgl", args,
-        fp_cfg.ToString() + ";" + spec.Describe() +
-            ";mgl_threshold=250;escalation=20;files=50");
-
-    TablePrinter table({"locks", "flat tp", "MGL tp", "MGL+files tp",
-                        "flat lock ovh", "MGL lock ovh", "MGL+files ovh"});
-    const std::vector<int64_t> sweep = core::StandardLockSweep(base.dbsize);
-    for (size_t p = 0; p < sweep.size(); ++p) {
-      const int64_t ltot = sweep[p];
-      model::SystemConfig cfg = base;
-      cfg.ltot = ltot;
-      args.Apply(&cfg);
-      db::ExplicitSimulator::Options gamma_point = gamma;
-      gamma_point.num_files = std::min<int64_t>(50, ltot);
-      const uint64_t seed = static_cast<uint64_t>(args.seed);
-      auto run = [&](int series, const db::ExplicitSimulator::Options& opt) {
-        return cells.Run(series, static_cast<int>(p), ltot, seed,
-                         [&](const fault::CellWatchdog* wd) {
-                           db::ExplicitSimulator::Options watched = opt;
-                           watched.watchdog = wd;
-                           return db::ExplicitSimulator::RunOnce(
-                               cfg, spec, seed, watched);
-                         });
-      };
-      auto rf = run(0, flat);
-      auto rm = run(1, mgl);
-      auto rg = run(2, gamma_point);
-      auto tp = [](const Result<core::SimulationMetrics>& r) {
-        return r.ok() ? StrFormat("%.5g", r->throughput) : std::string("-");
-      };
-      auto ovh = [](const Result<core::SimulationMetrics>& r) {
-        return r.ok() ? StrFormat("%.5g", r->lockios + r->lockcpus)
-                      : std::string("-");
-      };
-      table.AddRow({StrFormat("%lld", (long long)ltot), tp(rf), tp(rm),
-                    tp(rg), ovh(rf), ovh(rm), ovh(rg)});
-    }
-    cells.Finish();
-    if (args.csv) {
-      table.PrintCsv(std::cout);
-    } else {
-      table.Print(std::cout);
-    }
-    bench::MaybeWriteTableJsonReport("ablation_mgl", {{"throughput", &table}},
-                                     args);
+  bench::BenchGrid grid;
+  grid.experiment_id = "ablation_mgl";
+  grid.seeds = bench::SingleCellSeeds(grid.experiment_id, args);
+  grid.labels = {"flat", "MGL", "MGL+files"};
+  model::SystemConfig fp_cfg = base;
+  args.Apply(&fp_cfg);
+  grid.fingerprint = bench::RunFingerprint(
+      grid.experiment_id, args,
+      "|" + fp_cfg.ToString() + ";" + spec.Describe() +
+          ";mgl_threshold=250;escalation=20;files=50");
+  const std::vector<int64_t> sweep = core::StandardLockSweep(base.dbsize);
+  for (size_t p = 0; p < sweep.size(); ++p) {
+    model::SystemConfig cfg = base;
+    cfg.ltot = sweep[p];
+    args.Apply(&cfg);
+    db::ExplicitSimulator::Options gamma_point = gamma;
+    gamma_point.num_files = std::min<int64_t>(50, cfg.ltot);
+    const auto add = [&](int series,
+                         const db::ExplicitSimulator::Options& opt) {
+      grid.points.push_back(
+          {series, static_cast<int>(p), cfg.ltot,
+           bench::EngineCell<db::ExplicitSimulator>(cfg, spec, opt)});
+    };
+    add(0, flat);
+    add(1, mgl);
+    add(2, gamma_point);
   }
+  core::RunReport report;
+  const std::vector<core::ReplicatedMetrics> cells =
+      bench::RunBenchGrid(grid, args, &report);
+
+  TablePrinter table({"locks", "flat tp", "MGL tp", "MGL+files tp",
+                      "flat lock ovh", "MGL lock ovh", "MGL+files ovh"});
+  auto tp = [](const core::ReplicatedMetrics& r) {
+    return r.replications > 0 ? StrFormat("%.5g", r.mean.throughput)
+                              : std::string("-");
+  };
+  auto ovh = [](const core::ReplicatedMetrics& r) {
+    return r.replications > 0
+               ? StrFormat("%.5g", r.mean.lockios + r.mean.lockcpus)
+               : std::string("-");
+  };
+  for (size_t p = 0; p < sweep.size(); ++p) {
+    const core::ReplicatedMetrics& f = cells[3 * p];
+    const core::ReplicatedMetrics& m = cells[3 * p + 1];
+    const core::ReplicatedMetrics& g = cells[3 * p + 2];
+    table.AddRow({StrFormat("%lld", (long long)sweep[p]), tp(f), tp(m), tp(g),
+                  ovh(f), ovh(m), ovh(g)});
+  }
+  if (args.csv) {
+    table.PrintCsv(std::cout);
+  } else {
+    table.Print(std::cout);
+  }
+  bench::MaybeWriteTableJsonReport("ablation_mgl", {{"throughput", &table}},
+                                   args);
   return 0;
 }

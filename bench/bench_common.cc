@@ -1,17 +1,18 @@
 #include "bench/bench_common.h"
 
+#include <atomic>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
 #include <sstream>
 
+#include "core/checkpoint.h"
 #include "core/fault.h"
 #include "obs/json_writer.h"
 #include "sim/invariants.h"
 #include "util/fileio.h"
 #include "util/logging.h"
-#include "util/random.h"
 #include "util/strings.h"
 #include "util/wall_clock.h"
 
@@ -133,6 +134,13 @@ void OnTerminationSignal(int sig) {
   g_signal.store(sig, std::memory_order_relaxed);
 }
 
+bool Interrupted() { return g_interrupt.load(std::memory_order_relaxed); }
+
+/// Conventional exit code for the received signal (128 + signo).
+int InterruptExitCode() {
+  return 128 + g_signal.load(std::memory_order_relaxed);
+}
+
 bool ParseLogLevel(const std::string& name, LogLevel* out) {
   if (name == "debug") {
     *out = LogLevel::kDebug;
@@ -210,16 +218,6 @@ BenchArgs ParseArgsOrDie(int argc, char** argv) {
   return args;
 }
 
-const std::atomic<bool>* InterruptFlag() { return &g_interrupt; }
-
-bool Interrupted() {
-  return g_interrupt.load(std::memory_order_relaxed);
-}
-
-int InterruptExitCode() {
-  return 128 + g_signal.load(std::memory_order_relaxed);
-}
-
 void PrintBanner(const std::string& experiment_id,
                  const std::string& description,
                  const model::SystemConfig& cfg, const BenchArgs& args) {
@@ -274,27 +272,33 @@ double MetricValue(Metric metric, const core::SimulationMetrics& m) {
   return 0.0;
 }
 
-uint64_t FigureFingerprint(const std::string& experiment_id,
-                           const BenchArgs& args,
-                           const std::vector<int64_t>& lock_counts,
-                           const std::vector<Series>& series) {
-  std::string canonical = experiment_id;
-  canonical += StrFormat("|seed=%lld|reps=%lld|tmax=%.17g|warmup=%.17g|q=%d",
-                         (long long)args.seed, (long long)args.reps, args.tmax,
-                         args.warmup, args.quick ? 1 : 0);
-  canonical += "|grid=";
-  for (int64_t ltot : lock_counts) {
-    canonical += StrFormat("%lld,", (long long)ltot);
-  }
-  for (const Series& s : series) {
-    model::SystemConfig cfg = s.cfg;
-    args.Apply(&cfg);
-    canonical += "|series=" + s.label + ";" + cfg.ToString() + ";" +
-                 s.spec.Describe();
-  }
-  return core::FingerprintString(canonical);
+uint64_t RunFingerprint(const std::string& experiment_id,
+                        const BenchArgs& args, const std::string& inputs) {
+  return core::FingerprintString(
+      experiment_id +
+      StrFormat("|seed=%lld|reps=%lld|tmax=%.17g|warmup=%.17g|q=%d",
+                (long long)args.seed, (long long)args.reps, args.tmax,
+                args.warmup, args.quick ? 1 : 0) +
+      inputs);
 }
 
+std::vector<uint64_t> SingleCellSeeds(const std::string& experiment_id,
+                                      const BenchArgs& args) {
+  if (args.reps != 1) {
+    std::fprintf(stderr,
+                 "--reps=%lld is not supported by %s: each of its cells runs "
+                 "once with --seed; pass --reps=1\n",
+                 (long long)args.reps, experiment_id.c_str());
+    std::exit(2);
+  }
+  return {static_cast<uint64_t>(args.seed)};
+}
+
+namespace {
+
+/// Opens the checkpoint journal per `--checkpoint/--resume`, or returns
+/// null when checkpointing is off. Exits with an actionable message on
+/// open failure (corrupt journal, fingerprint mismatch).
 std::unique_ptr<core::CheckpointJournal> OpenJournalOrDie(
     const std::string& experiment_id, const BenchArgs& args,
     uint64_t fingerprint) {
@@ -313,50 +317,87 @@ std::unique_ptr<core::CheckpointJournal> OpenJournalOrDie(
   return std::move(journal).value();
 }
 
-core::CellPolicy MakeCellPolicy(const BenchArgs& args,
-                                core::CheckpointJournal* journal, int series,
-                                core::RunReport* report) {
+/// Names a cell of `grid` for humans: its series label, swept value and
+/// replication.
+std::string DescribeCell(const BenchGrid& grid, const core::CellFailure& f) {
+  return StrFormat("series '%s' %s=%lld rep=%d",
+                   grid.labels[static_cast<size_t>(f.series)].c_str(),
+                   grid.axis.c_str(), (long long)f.value, f.rep);
+}
+
+/// Prints the cell-failure roll-up: one line per failed cell, plus retry
+/// and timeout totals. No-op when nothing failed or retried.
+void PrintFailureSummary(const BenchGrid& grid,
+                         const core::RunReport& report) {
+  if (report.failures.empty() && report.cell_retries == 0) return;
+  std::printf("cell failure summary: %lld failed, %lld retries, %lld timed "
+              "out, %lld completed\n",
+              (long long)report.failures.size(),
+              (long long)report.cell_retries,
+              (long long)report.cells_timed_out,
+              (long long)report.cells_completed);
+  for (const core::CellFailure& f : report.failures) {
+    std::printf("  %s: %s (%d attempt%s%s)\n", DescribeCell(grid, f).c_str(),
+                f.status.ToString().c_str(), f.attempts,
+                f.attempts == 1 ? "" : "s", f.timed_out ? ", timed out" : "");
+  }
+  std::printf("\n");
+}
+
+}  // namespace
+
+std::vector<core::ReplicatedMetrics> RunBenchGrid(
+    const BenchGrid& grid, const BenchArgs& args, core::RunReport* report,
+    const std::function<void(const std::vector<core::ReplicatedMetrics>&)>&
+        on_interrupt) {
+  if (grid.seeds.empty()) {
+    std::fprintf(stderr, "--reps=%lld: need at least one replication\n",
+                 (long long)args.reps);
+    std::exit(1);
+  }
+  const std::unique_ptr<core::CheckpointJournal> journal =
+      OpenJournalOrDie(grid.experiment_id, args, grid.fingerprint);
   core::CellPolicy policy;
-  policy.journal = journal;
-  policy.series = series;
+  policy.journal = journal.get();
   policy.max_cell_retries = static_cast<int>(args.max_cell_retries);
   policy.allow_partial = args.allow_partial;
   policy.cell_timeout_s = args.cell_timeout_s;
-  policy.interrupt = InterruptFlag();
+  policy.interrupt = &g_interrupt;
   policy.report = report;
-  return policy;
+  core::ParallelRunner runner(args.resolved_threads);
+  core::GridResult result = core::RunGrid(
+      grid.points, grid.seeds, grid.serial ? nullptr : &runner, policy);
+
+  if (!result.first_failure.status.ok() && !args.allow_partial) {
+    std::fprintf(stderr, "cell failed: %s: %s\n",
+                 DescribeCell(grid, result.first_failure).c_str(),
+                 result.first_failure.status.ToString().c_str());
+    if (journal != nullptr) {
+      std::fprintf(stderr,
+                   "completed cells are journaled in %s; rerun with --resume "
+                   "to retry only the failed cells\n",
+                   journal->path().c_str());
+    }
+    std::exit(1);
+  }
+  if (result.interrupted || Interrupted()) {
+    if (on_interrupt) on_interrupt(result.points);
+    if (journal != nullptr) {
+      std::fprintf(stderr,
+                   "interrupted: completed cells are journaled in %s; rerun "
+                   "with --resume to finish\n",
+                   journal->path().c_str());
+    } else {
+      std::fprintf(stderr,
+                   "interrupted (hint: --checkpoint makes this resumable)\n");
+    }
+    std::exit(InterruptExitCode());
+  }
+  PrintFailureSummary(grid, *report);
+  return std::move(result.points);
 }
 
 namespace {
-
-/// Flushes the partial grid of an interrupted run to
-/// BENCH_<id>.partial.json (atomically — a signal landing mid-write must
-/// not leave a torn report) and exits with the conventional signal code.
-[[noreturn]] void ExitInterrupted(const std::string& experiment_id,
-                                  const FigureData& data,
-                                  const BenchArgs& args,
-                                  const core::CheckpointJournal* journal) {
-  const std::string path =
-      StrFormat("BENCH_%s.partial.json", experiment_id.c_str());
-  const Status written =
-      WriteFileAtomic(path, RenderJsonReport(experiment_id, data, args) + "\n");
-  if (written.ok()) {
-    std::fprintf(stderr, "interrupted: partial results in %s\n", path.c_str());
-  } else {
-    GRANULOCK_LOG(Error) << "partial report: " << written;
-  }
-  if (journal != nullptr) {
-    std::fprintf(stderr,
-                 "completed cells are journaled in %s; rerun with --resume "
-                 "to finish\n",
-                 journal->path().c_str());
-  } else {
-    std::fprintf(stderr,
-                 "hint: run with --checkpoint to make interrupted runs "
-                 "resumable\n");
-  }
-  std::exit(InterruptExitCode());
-}
 
 /// The post-sweep contention pass (--profile_contention): re-runs every
 /// surviving (series, ltot) cell once, serially, with a fresh
@@ -367,9 +408,8 @@ namespace {
 /// the hottest cell's time series.
 void ProfileContention(const std::string& experiment_id, FigureData* data,
                        const BenchArgs& args) {
-  // Replicates core::DeriveReplicationSeeds for replication 0.
   const uint64_t seed =
-      Rng(static_cast<uint64_t>(args.seed)).Fork(0).NextUint64();
+      core::DeriveReplicationSeeds(static_cast<uint64_t>(args.seed), 1)[0];
   data->contention.assign(data->series.size(), SeriesContention{});
   std::string best_dot;
   std::string best_csv;
@@ -447,64 +487,63 @@ FigureData RunFigure(const std::string& experiment_id,
                      std::vector<int64_t> lock_counts) {
   GRANULOCK_CHECK(!series.empty());
   const WallTimer wall_timer;
-  core::ParallelRunner runner(args.resolved_threads);
   FigureData data;
   data.series = series;
   data.lock_counts = lock_counts.empty()
                          ? core::StandardLockSweep(series[0].cfg.dbsize)
                          : std::move(lock_counts);
-  data.values.assign(series.size(),
-                     std::vector<core::ReplicatedMetrics>(
-                         data.lock_counts.size(), core::ReplicatedMetrics{}));
-  const uint64_t fingerprint =
-      FigureFingerprint(experiment_id, args, data.lock_counts, series);
-  std::unique_ptr<core::CheckpointJournal> journal =
-      OpenJournalOrDie(experiment_id, args, fingerprint);
+  const size_t num_points = data.lock_counts.size();
+  BenchGrid grid;
+  grid.experiment_id = experiment_id;
+  std::string inputs = "|grid=";
+  for (int64_t ltot : data.lock_counts) {
+    inputs += StrFormat("%lld,", (long long)ltot);
+  }
+  grid.seeds = core::DeriveReplicationSeeds(static_cast<uint64_t>(args.seed),
+                                            static_cast<int>(args.reps));
   for (size_t s = 0; s < series.size(); ++s) {
-    if (Interrupted()) break;  // remaining series stay missing
     model::SystemConfig cfg = series[s].cfg;
     args.Apply(&cfg);
-    const core::CellPolicy policy = MakeCellPolicy(
-        args, journal.get(), static_cast<int>(s), &data.report);
-    auto sweep = core::SweepLockCounts(
-        cfg, series[s].spec, data.lock_counts,
-        static_cast<uint64_t>(args.seed), static_cast<int>(args.reps),
-        series[s].options, &runner, policy);
-    if (!sweep.ok()) {
-      if (journal != nullptr) {
-        // The completed prefix is durable; no need to take the whole
-        // process down with an abort.
-        std::fprintf(stderr, "series '%s': %s\n", series[s].label.c_str(),
-                     sweep.status().ToString().c_str());
-        std::fprintf(stderr,
-                     "completed cells are journaled in %s; rerun with "
-                     "--resume to retry only the failed cells\n",
-                     journal->path().c_str());
-        std::exit(1);
-      }
-      GRANULOCK_CHECK(sweep.ok())
-          << "series '" << series[s].label << "': " << sweep.status();
-    }
-    // Map the (possibly partial) sweep back onto the rectangular grid;
-    // omitted points keep replications == 0.
-    size_t j = 0;
-    for (size_t l = 0; l < data.lock_counts.size(); ++l) {
-      if (j < sweep->size() && (*sweep)[j].ltot == data.lock_counts[l]) {
-        data.values[s][l] = std::move((*sweep)[j].metrics);
-        ++j;
-      }
+    inputs += "|series=" + series[s].label + ";" + cfg.ToString() + ";" +
+              series[s].spec.Describe();
+    grid.labels.push_back(series[s].label);
+    grid.serial =
+        grid.serial || core::RequiresSerialExecution(series[s].options);
+    for (size_t l = 0; l < num_points; ++l) {
+      cfg.ltot = data.lock_counts[l];
+      grid.points.push_back(core::GridPoint{
+          static_cast<int>(s), static_cast<int>(l), cfg.ltot,
+          core::ProbabilisticCell(cfg, series[s].spec, series[s].options)});
     }
   }
-  data.wall_seconds = wall_timer.Seconds();
+  grid.fingerprint = RunFingerprint(experiment_id, args, inputs);
+
+  // Lays the grid's points (series-major) out as values[s][l].
+  const auto fill = [&](const std::vector<core::ReplicatedMetrics>& points) {
+    data.values.clear();
+    for (auto it = points.begin(); it != points.end(); it += num_points) {
+      data.values.emplace_back(it, it + num_points);
+    }
+    data.wall_seconds = wall_timer.Seconds();
+  };
+  fill(RunBenchGrid(grid, args, &data.report, [&](const auto& partial) {
+    fill(partial);
+    const std::string path =
+        StrFormat("BENCH_%s.partial.json", experiment_id.c_str());
+    // Atomic: a second signal landing mid-write must not tear the report.
+    const Status written = WriteFileAtomic(
+        path, RenderJsonReport(experiment_id, data, args) + "\n");
+    if (written.ok()) {
+      std::fprintf(stderr, "partial results in %s\n", path.c_str());
+    } else {
+      GRANULOCK_LOG(Error) << "partial report: " << written;
+    }
+  }));
   data.registry = std::make_shared<obs::MetricsRegistry>();
   core::PublishCellStats(data.report, data.registry.get());
-  if (data.report.interrupted || Interrupted()) {
-    ExitInterrupted(experiment_id, data, args, journal.get());
-  }
   if (args.profile_contention) {
     ProfileContention(experiment_id, &data, args);
   }
-  PrintFailureSummary(data);
   return data;
 }
 
@@ -672,7 +711,7 @@ std::string RenderJsonReport(const std::string& experiment_id,
     w.BeginObject();
     w.Key("series").Value(
         data.series[static_cast<size_t>(f.series)].label);
-    w.Key("ltot").Value(f.ltot);
+    w.Key("ltot").Value(f.value);
     w.Key("rep").Value(static_cast<int64_t>(f.rep));
     w.Key("attempts").Value(static_cast<int64_t>(f.attempts));
     w.Key("timed_out").Value(f.timed_out);
@@ -761,121 +800,6 @@ void PrintOptimaSummary(const FigureData& data) {
                 data.series[s].label.c_str(),
                 (long long)data.lock_counts[best],
                 data.values[s][best].mean.throughput);
-  }
-  std::printf("\n");
-}
-
-CellRunner::CellRunner(std::string experiment_id, const BenchArgs& args,
-                       const std::string& canonical_inputs)
-    : experiment_id_(std::move(experiment_id)), args_(args) {
-  if (args.reps != 1) {
-    std::fprintf(stderr,
-                 "--reps=%lld is not supported by %s: each of its cells runs "
-                 "once with --seed; pass --reps=1\n",
-                 (long long)args.reps, experiment_id_.c_str());
-    std::exit(2);
-  }
-  const std::string canonical =
-      experiment_id_ +
-      StrFormat("|seed=%lld|reps=%lld|tmax=%.17g|warmup=%.17g|q=%d|",
-                (long long)args.seed, (long long)args.reps, args.tmax,
-                args.warmup, args.quick ? 1 : 0) +
-      canonical_inputs;
-  journal_ = OpenJournalOrDie(experiment_id_, args,
-                              core::FingerprintString(canonical));
-}
-
-Result<core::SimulationMetrics> CellRunner::Run(int series, int point,
-                                                int64_t ltot, uint64_t seed,
-                                                const core::CellBody& body) {
-  core::CellPolicy policy =
-      MakeCellPolicy(args_, journal_.get(), series, /*report=*/nullptr);
-  const core::CellOutcome outcome =
-      core::RunCell(policy, core::CellKey{series, point, 0}, seed, body);
-  // Serial loop: account inline (RunCell leaves accounting to the caller).
-  if (outcome.from_checkpoint) {
-    ++report_.cells_from_checkpoint;
-    ++report_.cells_completed;
-    return *outcome.result;
-  }
-  if (outcome.attempts > 1) report_.cell_retries += outcome.attempts - 1;
-  if (outcome.result.ok()) {
-    ++report_.cells_completed;
-    return *outcome.result;
-  }
-  if (outcome.result.status().code() == StatusCode::kCancelled) {
-    report_.interrupted = true;
-    if (journal_ != nullptr) {
-      std::fprintf(stderr,
-                   "interrupted: completed cells are journaled in %s; rerun "
-                   "with --resume to finish\n",
-                   journal_->path().c_str());
-    } else {
-      std::fprintf(stderr,
-                   "interrupted (hint: --checkpoint makes this resumable)\n");
-    }
-    std::exit(InterruptExitCode());
-  }
-  if (outcome.timed_out) ++report_.cells_timed_out;
-  report_.failures.push_back(core::CellFailure{series, point, ltot, 0,
-                                               outcome.attempts,
-                                               outcome.timed_out,
-                                               outcome.result.status()});
-  if (!args_.allow_partial) {
-    std::fprintf(stderr, "cell (series=%d, ltot=%lld) failed: %s\n", series,
-                 (long long)ltot, outcome.result.status().ToString().c_str());
-    if (journal_ != nullptr) {
-      std::fprintf(stderr,
-                   "completed cells are journaled in %s; rerun with --resume "
-                   "to retry only the failed cell\n",
-                   journal_->path().c_str());
-    }
-    std::exit(1);
-  }
-  return outcome.result.status();
-}
-
-void CellRunner::Finish() {
-  if (Interrupted()) {
-    if (journal_ != nullptr) {
-      std::fprintf(stderr,
-                   "interrupted: completed cells are journaled in %s; rerun "
-                   "with --resume to finish\n",
-                   journal_->path().c_str());
-    }
-    std::exit(InterruptExitCode());
-  }
-  if (report_.failures.empty() && report_.cell_retries == 0) return;
-  std::printf("cell failure summary: %lld failed, %lld retries, %lld timed "
-              "out, %lld completed\n",
-              (long long)report_.failures.size(),
-              (long long)report_.cell_retries,
-              (long long)report_.cells_timed_out,
-              (long long)report_.cells_completed);
-  for (const core::CellFailure& f : report_.failures) {
-    std::printf("  series=%d ltot=%lld: %s (%d attempt%s%s)\n", f.series,
-                (long long)f.ltot, f.status.ToString().c_str(), f.attempts,
-                f.attempts == 1 ? "" : "s",
-                f.timed_out ? ", timed out" : "");
-  }
-  std::printf("\n");
-}
-
-void PrintFailureSummary(const FigureData& data) {
-  const core::RunReport& report = data.report;
-  if (report.failures.empty() && report.cell_retries == 0) return;
-  std::printf("cell failure summary: %lld failed, %lld retries, %lld timed "
-              "out, %lld completed\n",
-              (long long)report.failures.size(),
-              (long long)report.cell_retries,
-              (long long)report.cells_timed_out,
-              (long long)report.cells_completed);
-  for (const core::CellFailure& f : report.failures) {
-    std::printf("  series '%s' ltot=%lld rep=%d: %s (%d attempt%s%s)\n",
-                data.series[static_cast<size_t>(f.series)].label.c_str(),
-                (long long)f.ltot, f.rep, f.status.ToString().c_str(),
-                f.attempts, f.attempts == 1 ? "" : "s",
-                f.timed_out ? ", timed out" : "");
   }
   std::printf("\n");
 }

@@ -1,7 +1,6 @@
 #ifndef GRANULOCK_BENCH_BENCH_COMMON_H_
 #define GRANULOCK_BENCH_BENCH_COMMON_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -9,7 +8,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/checkpoint.h"
 #include "core/experiment.h"
 #include "db/contention_policy.h"
 #include "model/config.h"
@@ -94,20 +92,10 @@ struct BenchArgs {
 /// Parses argv with the standard bench flags; exits the process on --help
 /// or a flag error. Applies `--log_level` to the global log threshold,
 /// arms the fault injector from `--fault_inject`, and installs
-/// SIGINT/SIGTERM handlers that request a cooperative stop (see
-/// `InterruptFlag`). Returns the parsed arguments.
+/// SIGINT/SIGTERM handlers that request a cooperative stop: cells stop at
+/// their next watchdog poll or cell boundary (see `RunBenchGrid`).
+/// Returns the parsed arguments.
 BenchArgs ParseArgsOrDie(int argc, char** argv);
-
-/// The process-wide interrupt flag set by the SIGINT/SIGTERM handlers
-/// installed in `ParseArgsOrDie`. Wire it into `core::CellPolicy` so cells
-/// stop at their next watchdog poll / cell boundary.
-const std::atomic<bool>* InterruptFlag();
-
-/// True once SIGINT/SIGTERM was received.
-bool Interrupted();
-
-/// Conventional exit code for the received signal (128 + signo).
-int InterruptExitCode();
 
 /// Prints the standard experiment banner (figure id, what the paper shows,
 /// and the base configuration).
@@ -178,36 +166,66 @@ struct FigureData {
   std::vector<SeriesContention> contention;
 };
 
-/// Canonical fingerprint of a figure run: experiment id, seed/reps/tmax/
-/// warmup/quick, the lock grid, and each series' label + post-Apply
-/// configuration + workload. Guards checkpoint journals against resuming
-/// mismatched inputs.
-uint64_t FigureFingerprint(const std::string& experiment_id,
-                           const BenchArgs& args,
-                           const std::vector<int64_t>& lock_counts,
-                           const std::vector<Series>& series);
+/// Checkpoint-journal fingerprint of a bench run: `experiment_id`, the
+/// run parameters seed/reps/tmax/warmup/quick, then `inputs`, which must
+/// describe everything else that determines the results. Guards journals
+/// against resuming mismatched inputs.
+uint64_t RunFingerprint(const std::string& experiment_id,
+                        const BenchArgs& args, const std::string& inputs);
 
-/// Opens the checkpoint journal for this run per `--checkpoint/--resume`,
-/// or returns null when checkpointing is off. Exits with an actionable
-/// message on open failure (corrupt journal, fingerprint mismatch).
-std::unique_ptr<core::CheckpointJournal> OpenJournalOrDie(
-    const std::string& experiment_id, const BenchArgs& args,
-    uint64_t fingerprint);
+/// The seed list of a bench whose cells each run once with `--seed` itself
+/// rather than a derived stream (the db-layer ablations). Exits 2 on any
+/// `--reps` other than 1 instead of silently ignoring it.
+std::vector<uint64_t> SingleCellSeeds(const std::string& experiment_id,
+                                      const BenchArgs& args);
 
-/// Builds the cell policy for one series of a run from the standard flags,
-/// wiring in the process interrupt flag.
-core::CellPolicy MakeCellPolicy(const BenchArgs& args,
-                                core::CheckpointJournal* journal, int series,
-                                core::RunReport* report);
+/// A bench's cell grid (see `core::RunGrid`) and what its messages call
+/// the cells.
+struct BenchGrid {
+  std::string experiment_id;
+  uint64_t fingerprint = 0;  ///< see `RunFingerprint`
+  /// The points in the order a one-thread run visits them.
+  std::vector<core::GridPoint> points;
+  std::vector<uint64_t> seeds;      ///< replication seeds
+  std::vector<std::string> labels;  ///< one per series
+  std::string axis = "ltot";        ///< what `GridPoint::value` sweeps
+  /// True when a cell attaches unsynchronized sinks: runs on one thread.
+  bool serial = false;
+};
+
+/// The grid body that runs `Engine` — any engine with `Options::watchdog`
+/// and `RunOnce(cfg, spec, seed, options)` — on (`cfg`, `spec`) with
+/// `options` and the cell's watchdog.
+template <typename Engine>
+core::GridBody EngineCell(const model::SystemConfig& cfg,
+                          const workload::WorkloadSpec& spec,
+                          const typename Engine::Options& options) {
+  return [cfg, spec, options](uint64_t seed, const fault::CellWatchdog* wd) {
+    typename Engine::Options watched = options;
+    watched.watchdog = wd;
+    return Engine::RunOnce(cfg, spec, seed, watched);
+  };
+}
+
+/// Runs `grid` through `core::RunGrid` on --threads workers under the
+/// robustness flags: cells are journaled and replayed with
+/// --checkpoint/--resume, retried per --max_cell_retries, timed out per
+/// --cell_timeout_s, and contained per --allow_partial. This is every grid
+/// bench's one exit path: without --allow_partial a failed cell exits 1,
+/// naming the lowest-index failure (with a --resume hint when a journal is
+/// open). On SIGINT/SIGTERM it calls `on_interrupt` (when set) with the
+/// points completed so far, then exits 128+signo. Otherwise it prints the
+/// failure roll-up and returns one merge per point (`replications == 0`
+/// marks a missing point); `report` receives the cell accounting.
+std::vector<core::ReplicatedMetrics> RunBenchGrid(
+    const BenchGrid& grid, const BenchArgs& args, core::RunReport* report,
+    const std::function<void(const std::vector<core::ReplicatedMetrics>&)>&
+        on_interrupt = {});
 
 /// Runs every series over the standard lock sweep (or `lock_counts` when
-/// non-empty) under the robustness flags: cells are journaled/replayed
-/// with --checkpoint/--resume, retried per --max_cell_retries, timed out
-/// per --cell_timeout_s, and contained per --allow_partial. Without a
-/// journal, a cell failure aborts the process (a configuration bug in the
-/// bench itself); with one, it exits gracefully with a --resume hint. On
-/// SIGINT/SIGTERM the partial grid is flushed to BENCH_<id>.partial.json
-/// and the process exits 128+signo.
+/// non-empty) as one `RunBenchGrid` grid, series-major, replication `r`
+/// of every point on stream `r` of --seed. On SIGINT/SIGTERM the partial
+/// grid is flushed to BENCH_<id>.partial.json before the exit.
 FigureData RunFigure(const std::string& experiment_id,
                      const std::vector<Series>& series, const BenchArgs& args,
                      std::vector<int64_t> lock_counts = {});
@@ -220,53 +238,6 @@ void PrintMetricTable(const FigureData& data, Metric metric,
 
 /// Prints the per-series throughput-optimal lock count summary.
 void PrintOptimaSummary(const FigureData& data);
-
-/// Prints the structured cell-failure roll-up (one line per failed cell,
-/// plus retry/timeout totals). No-op when nothing failed.
-void PrintFailureSummary(const FigureData& data);
-
-/// Checkpoint/retry/containment wrapper for benches with hand-rolled
-/// sweep loops (the db-layer ablations), mirroring what `RunFigure` does
-/// for grid benches. Each simulator call becomes one cell keyed
-/// (series, point, rep=0).
-///
-/// Usage:
-///   bench::CellRunner cells("ablation_mgl", args, canonical_inputs);
-///   for (point loop) {
-///     auto r = cells.Run(series, point, ltot, seed, body);
-///     // r failed => render a gap (only reachable under --allow_partial)
-///   }
-///   cells.Finish();
-class CellRunner {
- public:
-  /// `canonical_inputs` must describe everything beyond the standard args
-  /// that determines the results (configs, workloads, engine options); it
-  /// extends the journal fingerprint. Each cell runs once with
-  /// `args.seed`, so any `--reps` other than 1 exits with code 2.
-  CellRunner(std::string experiment_id, const BenchArgs& args,
-             const std::string& canonical_inputs);
-
-  /// Runs one cell under the standard robustness flags. On interrupt, or
-  /// on a failure without --allow_partial, exits the process (with a
-  /// --resume hint when journaling); under --allow_partial a failure is
-  /// recorded and returned so the bench can render a gap.
-  Result<core::SimulationMetrics> Run(int series, int point, int64_t ltot,
-                                      uint64_t seed,
-                                      const core::CellBody& body);
-
-  /// Call once after the sweep loop: exits if an interrupt arrived after
-  /// the last cell, then prints the failure/retry summary.
-  void Finish();
-
-  const core::RunReport& report() const { return report_; }
-  core::CheckpointJournal* journal() { return journal_.get(); }
-
- private:
-  const std::string experiment_id_;
-  const BenchArgs& args_;
-  std::unique_ptr<core::CheckpointJournal> journal_;
-  core::RunReport report_;
-};
 
 /// Renders the JSON report (see `WriteJsonReport`) to a string. With
 /// `data.wall_seconds` pinned, the bytes are a pure function of the

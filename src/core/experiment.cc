@@ -26,21 +26,6 @@ util::Arena* CellArena(util::Arena* requested) {
   return &arena;
 }
 
-/// Derives the per-replication seeds exactly as the historical serial loop
-/// did: stream `r` forked from one seeder over `base_seed`. Computing them
-/// up front is what lets replications run on any worker in any order while
-/// staying bit-identical to serial execution.
-std::vector<uint64_t> DeriveReplicationSeeds(uint64_t base_seed,
-                                             int replications) {
-  Rng seeder(base_seed);
-  std::vector<uint64_t> seeds;
-  seeds.reserve(static_cast<size_t>(replications));
-  for (int r = 0; r < replications; ++r) {
-    seeds.push_back(seeder.Fork(static_cast<uint64_t>(r)).NextUint64());
-  }
-  return seeds;
-}
-
 /// Merges surviving replications in replication order: field sums via
 /// `SimulationMetrics::Accumulate`, then per-field means and the Student-t
 /// confidence half-widths on the two headline outputs. When every
@@ -74,43 +59,9 @@ class ReplicationMerger {
   int survivors_ = 0;
 };
 
-/// True when the attached sinks force the serial path: the trace recorder
-/// and obs sinks are unsynchronized single-run inspection tools, and the
-/// serial path preserves their historical interleaving.
-bool RequiresSerialExecution(const GranularitySimulator::Options& options) {
-  return options.trace != nullptr || options.obs.any();
-}
-
 bool IsCancelled(const CellOutcome& outcome) {
   return !outcome.result.ok() &&
          outcome.result.status().code() == StatusCode::kCancelled;
-}
-
-/// Folds one cell's outcome into the run report. Called post-join in grid
-/// index order, so the report is deterministic for any thread count.
-void AccountCell(const CellPolicy& policy, int point, int64_t ltot, int rep,
-                 const CellOutcome& outcome) {
-  RunReport* report = policy.report;
-  if (report == nullptr) return;
-  if (outcome.from_checkpoint) {
-    ++report->cells_from_checkpoint;
-    ++report->cells_completed;
-    return;
-  }
-  if (!outcome.ran) return;  // fail-fast stopped before reaching this cell
-  if (outcome.attempts > 1) report->cell_retries += outcome.attempts - 1;
-  if (outcome.result.ok()) {
-    ++report->cells_completed;
-    return;
-  }
-  if (IsCancelled(outcome)) {
-    report->interrupted = true;
-    return;
-  }
-  if (outcome.timed_out) ++report->cells_timed_out;
-  report->failures.push_back(CellFailure{policy.series, point, ltot, rep,
-                                         outcome.attempts, outcome.timed_out,
-                                         outcome.result.status()});
 }
 
 }  // namespace
@@ -199,6 +150,95 @@ void PublishCellStats(const RunReport& report,
   registry->GetCounter("cells/timed_out")->Increment(report.cells_timed_out);
 }
 
+std::vector<uint64_t> DeriveReplicationSeeds(uint64_t base_seed,
+                                             int replications) {
+  Rng seeder(base_seed);
+  std::vector<uint64_t> seeds;
+  seeds.reserve(static_cast<size_t>(std::max(replications, 0)));
+  for (int r = 0; r < replications; ++r) {
+    seeds.push_back(seeder.Fork(static_cast<uint64_t>(r)).NextUint64());
+  }
+  return seeds;
+}
+
+GridResult RunGrid(const std::vector<GridPoint>& grid,
+                   const std::vector<uint64_t>& seeds, ParallelRunner* runner,
+                   const CellPolicy& policy) {
+  GRANULOCK_CHECK(!seeds.empty());
+  const size_t reps = seeds.size();
+  std::vector<CellOutcome> outcomes(grid.size() * reps);
+  auto run_cell = [&](size_t i) {
+    const GridPoint& point = grid[i / reps];
+    const size_t r = i % reps;
+    const CellKey key{point.series, point.point, static_cast<int>(r)};
+    outcomes[i] =
+        RunCell(policy, key, seeds[r], [&](const fault::CellWatchdog* wd) {
+          return point.body(seeds[r], wd);
+        });
+  };
+  if (runner != nullptr && runner->threads() > 1) {
+    // Failures are chosen by the post-join scan below, in grid order, so
+    // the answer never depends on worker scheduling.
+    runner->ParallelFor(outcomes.size(), run_cell);
+  } else {
+    for (size_t i = 0; i < outcomes.size(); ++i) {
+      run_cell(i);
+      const CellOutcome& o = outcomes[i];
+      if (!o.result.ok() && (IsCancelled(o) || !policy.allow_partial)) break;
+    }
+  }
+
+  // Post-join scan in grid order: accounting, failure selection, and the
+  // per-point merge.
+  GridResult out;
+  out.points.reserve(grid.size());
+  RunReport unreported;
+  RunReport& report = policy.report != nullptr ? *policy.report : unreported;
+  for (size_t p = 0; p < grid.size(); ++p) {
+    ReplicationMerger merger;
+    for (size_t r = 0; r < reps; ++r) {
+      const CellOutcome& o = outcomes[p * reps + r];
+      if (!o.ran && !o.from_checkpoint) continue;  // fail-fast stopped first
+      if (o.from_checkpoint) ++report.cells_from_checkpoint;
+      if (o.attempts > 1) report.cell_retries += o.attempts - 1;
+      if (o.result.ok()) {
+        ++report.cells_completed;
+        merger.Add(*o.result);
+      } else if (IsCancelled(o)) {
+        out.interrupted = report.interrupted = true;
+      } else {
+        const CellFailure failure{grid[p].series,     grid[p].point,
+                                  grid[p].value,      static_cast<int>(r),
+                                  o.attempts,         o.timed_out,
+                                  o.result.status()};
+        if (out.first_failure.status.ok()) out.first_failure = failure;
+        if (o.timed_out) ++report.cells_timed_out;
+        report.failures.push_back(failure);
+      }
+    }
+    out.points.push_back(merger.survivors() > 0 ? merger.Finalize()
+                                                : ReplicatedMetrics{});
+  }
+  return out;
+}
+
+GridBody ProbabilisticCell(model::SystemConfig cfg,
+                           workload::WorkloadSpec spec,
+                           GranularitySimulator::Options options) {
+  return [cfg = std::move(cfg), spec = std::move(spec),
+          options = std::move(options)](uint64_t seed,
+                                        const fault::CellWatchdog* wd) {
+    GranularitySimulator::Options cell_options = options;
+    cell_options.watchdog = wd;
+    cell_options.arena = CellArena(options.arena);
+    return GranularitySimulator::RunOnce(cfg, spec, seed, cell_options);
+  };
+}
+
+bool RequiresSerialExecution(const GranularitySimulator::Options& options) {
+  return options.trace != nullptr || options.obs.any();
+}
+
 Result<ReplicatedMetrics> RunReplicated(const model::SystemConfig& cfg,
                                         const workload::WorkloadSpec& spec,
                                         uint64_t base_seed, int replications,
@@ -208,54 +248,16 @@ Result<ReplicatedMetrics> RunReplicated(const model::SystemConfig& cfg,
   if (replications < 1) {
     return Status::InvalidArgument("replications must be >= 1");
   }
-  const size_t reps = static_cast<size_t>(replications);
-  const std::vector<uint64_t> seeds =
-      DeriveReplicationSeeds(base_seed, replications);
-  std::vector<CellOutcome> outcomes(reps);
-  auto run_cell = [&](size_t r) {
-    const CellKey key{policy.series, policy.point, static_cast<int>(r)};
-    outcomes[r] =
-        RunCell(policy, key, seeds[r], [&](const fault::CellWatchdog* wd) {
-          GranularitySimulator::Options cell_options = options;
-          cell_options.watchdog = wd;
-          cell_options.arena = CellArena(options.arena);
-          return GranularitySimulator::RunOnce(cfg, spec, seeds[r],
-                                               cell_options);
-        });
-  };
-  if (runner != nullptr && runner->threads() > 1 &&
-      !RequiresSerialExecution(options)) {
-    runner->ParallelFor(reps, [&](size_t r) { run_cell(r); });
-  } else {
-    for (size_t r = 0; r < reps; ++r) {
-      run_cell(r);
-      if (outcomes[r].result.ok()) continue;
-      if (IsCancelled(outcomes[r]) || !policy.allow_partial) break;
-    }
-  }
-
-  ReplicationMerger merger;
-  Status first_failure;
-  bool interrupted = false;
-  for (size_t r = 0; r < reps; ++r) {
-    const CellOutcome& o = outcomes[r];
-    AccountCell(policy, policy.point, cfg.ltot, static_cast<int>(r), o);
-    if (!o.ran && !o.from_checkpoint) continue;
-    if (o.result.ok()) {
-      merger.Add(*o.result);
-    } else if (IsCancelled(o)) {
-      interrupted = true;
-    } else if (first_failure.ok()) {
-      first_failure = o.result.status();
-    }
-  }
-  if (!first_failure.ok() && !policy.allow_partial) return first_failure;
-  if (merger.survivors() == 0) {
-    if (!first_failure.ok()) return first_failure;
-    if (interrupted) return Status::Cancelled("run interrupted");
-    return Status::Internal("no replication produced metrics");
-  }
-  return merger.Finalize();
+  if (RequiresSerialExecution(options)) runner = nullptr;
+  const GridResult grid = RunGrid(
+      {GridPoint{0, 0, cfg.ltot, ProbabilisticCell(cfg, spec, options)}},
+      DeriveReplicationSeeds(base_seed, replications), runner, policy);
+  const Status& failure = grid.first_failure.status;
+  if (!failure.ok() && !policy.allow_partial) return failure;
+  if (grid.points[0].replications > 0) return grid.points[0];
+  if (!failure.ok()) return failure;
+  if (grid.interrupted) return Status::Cancelled("run interrupted");
+  return Status::Internal("no replication produced metrics");
 }
 
 std::vector<int64_t> StandardLockSweep(int64_t dbsize) {
@@ -279,72 +281,24 @@ Result<std::vector<SweepPoint>> SweepLockCounts(
   if (replications < 1) {
     return Status::InvalidArgument("replications must be >= 1");
   }
-  const size_t points = lock_counts.size();
-  const size_t reps = static_cast<size_t>(replications);
-  const std::vector<uint64_t> seeds =
-      DeriveReplicationSeeds(base_seed, replications);
-  // Every point's serial run re-seeds from `base_seed`, so all points share
-  // the same replication seeds.
-  std::vector<model::SystemConfig> point_cfgs(points, cfg);
-  for (size_t p = 0; p < points; ++p) point_cfgs[p].ltot = lock_counts[p];
-  std::vector<std::vector<CellOutcome>> outcomes(points);
-  for (auto& row : outcomes) row.resize(reps);
-  auto run_cell = [&](size_t p, size_t r) {
-    const CellKey key{policy.series, static_cast<int>(p),
-                      static_cast<int>(r)};
-    outcomes[p][r] =
-        RunCell(policy, key, seeds[r], [&](const fault::CellWatchdog* wd) {
-          GranularitySimulator::Options cell_options = options;
-          cell_options.watchdog = wd;
-          cell_options.arena = CellArena(options.arena);
-          return GranularitySimulator::RunOnce(point_cfgs[p], spec, seeds[r],
-                                               cell_options);
-        });
-  };
-
-  if (runner != nullptr && runner->threads() > 1 &&
-      !RequiresSerialExecution(options)) {
-    // Parallel path: flatten the whole (point × replication) grid into one
-    // task batch so the pool stays saturated across point boundaries.
-    // Failures are reported from the post-join scan below in grid index
-    // order, so the chosen failure never depends on worker scheduling.
-    runner->ParallelFor(points * reps,
-                        [&](size_t i) { run_cell(i / reps, i % reps); });
-  } else {
-    bool stop = false;
-    for (size_t p = 0; p < points && !stop; ++p) {
-      for (size_t r = 0; r < reps && !stop; ++r) {
-        run_cell(p, r);
-        const CellOutcome& o = outcomes[p][r];
-        if (o.result.ok()) continue;
-        if (IsCancelled(o) || !policy.allow_partial) stop = true;
-      }
-    }
+  if (RequiresSerialExecution(options)) runner = nullptr;
+  std::vector<GridPoint> grid;
+  for (size_t p = 0; p < lock_counts.size(); ++p) {
+    model::SystemConfig point_cfg = cfg;
+    point_cfg.ltot = lock_counts[p];
+    grid.push_back(GridPoint{0, static_cast<int>(p), lock_counts[p],
+                             ProbabilisticCell(point_cfg, spec, options)});
   }
-
-  // Post-join scan in grid index order: accounting, per-point merge, and
-  // deterministic failure selection.
+  GridResult result = RunGrid(
+      grid, DeriveReplicationSeeds(base_seed, replications), runner, policy);
+  if (!result.first_failure.status.ok() && !policy.allow_partial) {
+    return result.first_failure.status;
+  }
   std::vector<SweepPoint> out;
-  out.reserve(points);
-  Status first_failure;
-  for (size_t p = 0; p < points; ++p) {
-    ReplicationMerger merger;
-    for (size_t r = 0; r < reps; ++r) {
-      const CellOutcome& o = outcomes[p][r];
-      AccountCell(policy, static_cast<int>(p), lock_counts[p],
-                  static_cast<int>(r), o);
-      if (!o.ran && !o.from_checkpoint) continue;
-      if (o.result.ok()) {
-        merger.Add(*o.result);
-      } else if (!IsCancelled(o) && first_failure.ok()) {
-        first_failure = o.result.status();
-      }
-    }
-    if (merger.survivors() > 0) {
-      out.push_back(SweepPoint{lock_counts[p], merger.Finalize()});
-    }
+  for (size_t p = 0; p < lock_counts.size(); ++p) {
+    if (result.points[p].replications == 0) continue;
+    out.push_back(SweepPoint{lock_counts[p], std::move(result.points[p])});
   }
-  if (!first_failure.ok() && !policy.allow_partial) return first_failure;
   return out;
 }
 

@@ -23,7 +23,8 @@ namespace granulock::core {
 struct CellFailure {
   int series = 0;
   int point = 0;
-  int64_t ltot = 0;
+  /// The swept value at the cell's point (`GridPoint::value`).
+  int64_t value = 0;
   int rep = 0;
   int attempts = 1;
   bool timed_out = false;
@@ -62,10 +63,6 @@ struct CellPolicy {
   /// When set, completed cells are journaled and already-journaled cells
   /// are skipped (their metrics replayed bit-identically). Not owned.
   CheckpointJournal* journal = nullptr;
-  /// Grid coordinates of this run within the experiment (`series` for
-  /// sweeps; `point` additionally for direct RunReplicated callers).
-  int series = 0;
-  int point = 0;
   /// Failed cells are re-executed with the same derived seed up to this
   /// many extra times before counting as failed.
   int max_cell_retries = 0;
@@ -112,24 +109,71 @@ struct ReplicatedMetrics {
   int replications = 0;
 };
 
+/// The replication seeds of one experiment: stream `r` forked from one
+/// seeder over `base_seed`. Every point of a grid shares them, so a cell
+/// is a function of (point, r) alone and can run on any worker.
+std::vector<uint64_t> DeriveReplicationSeeds(uint64_t base_seed,
+                                             int replications);
+
+/// The body of one grid cell: runs one replication of its point with
+/// `seed`, cooperating with the watchdog when non-null.
+using GridBody = std::function<Result<SimulationMetrics>(
+    uint64_t seed, const fault::CellWatchdog*)>;
+
+/// One point of a cell grid: its coordinates, which key its cells in the
+/// checkpoint journal and in `CellFailure`s, and how to run a replication.
+struct GridPoint {
+  int series = 0;
+  int point = 0;
+  /// The swept value at this point (`ltot` in a lock sweep).
+  int64_t value = 0;
+  GridBody body;
+};
+
+/// What `RunGrid` produced.
+struct GridResult {
+  /// One merge per grid point, in grid order. A point none of whose
+  /// replications produced metrics has `replications == 0`.
+  std::vector<ReplicatedMetrics> points;
+  /// The failed cell with the lowest grid index; `status` is OK when no
+  /// cell failed.
+  CellFailure first_failure;
+  /// True when an interrupt cancelled a cell.
+  bool interrupted = false;
+};
+
+/// Runs every (point, replication) cell of `grid` through `RunCell` under
+/// `policy`, replication `r` with `seeds[r]` (non-empty). With a
+/// multi-thread `runner` the whole grid fans out as one batch; otherwise
+/// cells run in grid order (point-major, as the caller lists its points)
+/// and the first failure stops the run unless `policy.allow_partial`. An
+/// interrupt stops the serial run too. After the join, cells are
+/// accounted into `policy.report` and each point's survivors are merged
+/// in replication order, so every output is bit-identical for any thread
+/// count. Under fail-fast, `first_failure` is the caller's answer.
+GridResult RunGrid(const std::vector<GridPoint>& grid,
+                   const std::vector<uint64_t>& seeds, ParallelRunner* runner,
+                   const CellPolicy& policy);
+
+/// The grid body that runs the probabilistic engine on (`cfg`, `spec`)
+/// with `options`, the cell's watchdog, and — unless `options.arena` names
+/// one — a per-worker scratch arena reset between cells.
+GridBody ProbabilisticCell(model::SystemConfig cfg,
+                           workload::WorkloadSpec spec,
+                           GranularitySimulator::Options options);
+
+/// True when `options` attach the trace recorder or obs sinks: those are
+/// unsynchronized single-run inspection tools, so such cells run serially
+/// (their caller passes `RunGrid` no runner).
+bool RequiresSerialExecution(const GranularitySimulator::Options& options);
+
 /// Runs `replications` independent simulations of (`cfg`, `spec`) and
-/// aggregates. Replication `r` uses stream `r` forked from `base_seed`.
-///
-/// When `runner` is non-null (and has more than one thread), replications
-/// fan out across its workers; seeds are derived up front exactly as in
-/// the serial path and metrics are merged in replication order after the
-/// join, so the result — including the confidence half-widths — is
-/// bit-identical to a serial run. Replications with unsynchronized
-/// observability sinks attached (`options.trace`, `options.obs`) always
-/// run serially: those sinks are single-run inspection tools and are not
-/// safe to share across workers.
-///
-/// Each replication is one *cell* under `policy` (see `CellPolicy`): it
-/// can be replayed from a checkpoint journal, retried on failure, timed
-/// out, and — under `policy.allow_partial` — dropped from the aggregate
-/// (the mean then averages the surviving replications and
-/// `ReplicatedMetrics::replications` reports the survivor count). With no
-/// surviving replication the first failure's status is returned.
+/// aggregates: a one-point `RunGrid` over `DeriveReplicationSeeds`.
+/// Bit-identical for any `runner`; runs serially when `options` attach
+/// sinks. Under `policy.allow_partial` failed replications drop out of the
+/// mean (`replications` counts the survivors). Errors: InvalidArgument for
+/// `replications < 1`; otherwise the first failure, Cancelled when an
+/// interrupt left no survivor, or Internal.
 Result<ReplicatedMetrics> RunReplicated(
     const model::SystemConfig& cfg, const workload::WorkloadSpec& spec,
     uint64_t base_seed, int replications,
@@ -147,19 +191,11 @@ struct SweepPoint {
   ReplicatedMetrics metrics;
 };
 
-/// Sweeps `ltot` over `lock_counts` for fixed (`cfg`, `spec`), running
-/// `replications` replications at each point. With a multi-thread `runner`
-/// the whole (sweep point × replication) grid fans out as one task batch
-/// and is merged deterministically per point (see `RunReplicated`).
-///
-/// Every (point, replication) is one cell under `policy`. Fail-fast
-/// (default): the lowest-index failing cell's status is returned,
-/// regardless of worker scheduling. Under `policy.allow_partial` failed
-/// cells are recorded in `policy.report` and the sweep continues; a point
-/// whose replications all failed is omitted from the returned vector.
-/// An interrupt (SIGINT/SIGTERM via `policy.interrupt`) always behaves
-/// partially: the points completed so far are returned and
-/// `policy.report->interrupted` is set.
+/// Sweeps `ltot` over `lock_counts` for fixed (`cfg`, `spec`): a
+/// `RunGrid` of series 0 with one point per lock count, every point on the
+/// same replication seeds. Fail-fast returns the lowest-index failure.
+/// Under `policy.allow_partial`, or after an interrupt, a point whose
+/// replications all failed is omitted from the returned vector.
 Result<std::vector<SweepPoint>> SweepLockCounts(
     const model::SystemConfig& cfg, const workload::WorkloadSpec& spec,
     const std::vector<int64_t>& lock_counts, uint64_t base_seed,

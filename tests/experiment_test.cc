@@ -3,6 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
+
+#include "core/checkpoint.h"
+#include "db/explicit_simulator.h"
+#include "db/incremental_simulator.h"
 
 namespace granulock::core {
 namespace {
@@ -104,6 +110,135 @@ TEST(SweepLockCountsTest, ModerateGranularityBeatsExtremes) {
   const double tp_fine = (*sweep)[2].metrics.mean.throughput;
   EXPECT_GT(tp_mid, tp_serial);
   EXPECT_GT(tp_mid, tp_fine);
+}
+
+// --- RunGrid ---
+
+/// A cheap synthetic cell: metrics derived from the seed and the point, or
+/// a failure naming the cell when `fails`.
+GridPoint FakePoint(int series, int point, int64_t value, bool fails) {
+  return GridPoint{
+      series, point, value,
+      [=](uint64_t seed, const fault::CellWatchdog*)
+          -> Result<SimulationMetrics> {
+        if (fails) {
+          return Status::Internal("cell s" + std::to_string(series) + "p" +
+                                  std::to_string(point));
+        }
+        SimulationMetrics m;
+        m.throughput = static_cast<double>(seed % 1000) + value;
+        m.totcom = 1;
+        return m;
+      }};
+}
+
+/// Three series of three points; the cells of (series 1, point 2) and
+/// (series 2, point 0) fail.
+std::vector<GridPoint> ThreeSeriesGrid() {
+  std::vector<GridPoint> grid;
+  for (int s = 0; s < 3; ++s) {
+    for (int p = 0; p < 3; ++p) {
+      const bool fails = (s == 1 && p == 2) || (s == 2 && p == 0);
+      grid.push_back(FakePoint(s, p, 10 * (p + 1), fails));
+    }
+  }
+  return grid;
+}
+
+TEST(RunGridTest, FailFastPicksLowestIndexFailureAcrossSeries) {
+  const std::vector<uint64_t> seeds = DeriveReplicationSeeds(5, 2);
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ParallelRunner runner(threads);
+    const GridResult result =
+        RunGrid(ThreeSeriesGrid(), seeds, &runner, CellPolicy{});
+    const CellFailure& f = result.first_failure;
+    EXPECT_EQ(f.status.code(), StatusCode::kInternal);
+    EXPECT_NE(f.status.message().find("cell s1p2"), std::string::npos)
+        << f.status;
+    EXPECT_EQ(f.series, 1);
+    EXPECT_EQ(f.point, 2);
+    EXPECT_EQ(f.value, 30);
+    EXPECT_EQ(f.rep, 0);
+    EXPECT_FALSE(result.interrupted);
+  }
+}
+
+TEST(RunGridTest, FailureRecordsCarryTheirPointsCoordinates) {
+  RunReport report;
+  CellPolicy policy;
+  policy.allow_partial = true;
+  policy.report = &report;
+  const GridResult result =
+      RunGrid(ThreeSeriesGrid(), DeriveReplicationSeeds(5, 2), nullptr,
+              policy);
+  ASSERT_EQ(report.failures.size(), 4u);  // two failing points x two reps
+  const int expected[][4] = {{1, 2, 30, 0}, {1, 2, 30, 1}, {2, 0, 10, 0},
+                             {2, 0, 10, 1}};
+  for (size_t i = 0; i < report.failures.size(); ++i) {
+    const CellFailure& f = report.failures[i];
+    EXPECT_EQ(f.series, expected[i][0]) << i;
+    EXPECT_EQ(f.point, expected[i][1]) << i;
+    EXPECT_EQ(f.value, expected[i][2]) << i;
+    EXPECT_EQ(f.rep, expected[i][3]) << i;
+  }
+  EXPECT_EQ(report.cells_completed, 14);
+  ASSERT_EQ(result.points.size(), 9u);
+  EXPECT_EQ(result.points[5].replications, 0);  // (1, 2) is missing
+  EXPECT_EQ(result.points[4].replications, 2);
+}
+
+std::string Encoded(const SimulationMetrics& m) {
+  return CheckpointJournal::EncodeRecord(CellKey{}, m);
+}
+
+TEST(RunGridTest, EveryEngineMatchesDirectRunsBitForBit) {
+  model::SystemConfig cfg = QuickConfig();
+  cfg.tmax = 300.0;
+  cfg.ltot = 50;
+  const workload::WorkloadSpec spec = workload::WorkloadSpec::Base(cfg);
+  const std::vector<uint64_t> seeds = DeriveReplicationSeeds(17, 2);
+  const std::vector<GridPoint> grid = {
+      {0, 0, cfg.ltot, ProbabilisticCell(cfg, spec, {})},
+      {1, 0, cfg.ltot,
+       [&](uint64_t seed, const fault::CellWatchdog* wd) {
+         db::ExplicitSimulator::Options options;
+         options.watchdog = wd;
+         return db::ExplicitSimulator::RunOnce(cfg, spec, seed, options);
+       }},
+      {2, 0, cfg.ltot, [&](uint64_t seed, const fault::CellWatchdog* wd) {
+         db::IncrementalSimulator::Options options;
+         options.watchdog = wd;
+         return db::IncrementalSimulator::RunOnce(cfg, spec, seed, options);
+       }}};
+  // The expected merge of each point: its direct runs summed in
+  // replication order, then averaged.
+  std::vector<std::string> expected;
+  for (int engine = 0; engine < 3; ++engine) {
+    SimulationMetrics sum;
+    for (uint64_t seed : seeds) {
+      const Result<SimulationMetrics> direct =
+          engine == 0   ? GranularitySimulator::RunOnce(cfg, spec, seed)
+          : engine == 1 ? db::ExplicitSimulator::RunOnce(cfg, spec, seed)
+                        : db::IncrementalSimulator::RunOnce(cfg, spec, seed);
+      ASSERT_TRUE(direct.ok()) << direct.status();
+      sum.Accumulate(*direct);
+    }
+    sum.FinalizeMeans(static_cast<int64_t>(seeds.size()));
+    expected.push_back(Encoded(sum));
+  }
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ParallelRunner runner(threads);
+    const GridResult result = RunGrid(grid, seeds, &runner, CellPolicy{});
+    ASSERT_TRUE(result.first_failure.status.ok())
+        << result.first_failure.status;
+    ASSERT_EQ(result.points.size(), 3u);
+    for (size_t p = 0; p < 3; ++p) {
+      EXPECT_EQ(result.points[p].replications, 2);
+      EXPECT_EQ(Encoded(result.points[p].mean), expected[p]) << "point " << p;
+    }
+  }
 }
 
 TEST(StandardLockSweepTest, NoDuplicatesWhenDbsizeOnGrid) {

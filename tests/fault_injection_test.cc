@@ -383,7 +383,7 @@ TEST_F(FaultInjectionTest, AllowPartialSweepRecordsFailureAndContinues) {
   ASSERT_EQ(report.failures.size(), 1u);
   const core::CellFailure& failure = report.failures[0];
   EXPECT_EQ(failure.point, 1);
-  EXPECT_EQ(failure.ltot, 10);
+  EXPECT_EQ(failure.value, 10);
   // The invariant text survives the whole funnel: Fail -> AuditFailure ->
   // Status -> CellFailure.
   EXPECT_NE(failure.status.ToString().find("cell_audit_fail"),

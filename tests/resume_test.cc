@@ -398,12 +398,29 @@ TEST(KillResumeTest, ReplayedFigureReportIsByteIdentical) {
   EXPECT_EQ(resumed.report.cells_completed, 6);
 }
 
-// --- CellRunner runs each cell once: --reps must not be silently ignored ---
+// --- a failed cell ends a figure bench with exit code 1, journal or not ---
 
-TEST(CellRunnerDeathTest, RejectsRepsOtherThanOne) {
+TEST(RunFigureDeathTest, FailedCellExitsOneWithoutAJournal) {
+  bench::BenchArgs args;
+  args.tmax = 200.0;
+  const model::SystemConfig cfg = SmallConfig();
+  std::vector<bench::Series> series;
+  series.push_back({"npros=10", cfg, workload::WorkloadSpec::Base(cfg), {}});
+  EXPECT_EXIT(
+      {
+        (void)fault::Injector::Global().ArmFromFlag("cell_throw@1");
+        bench::RunFigure("fig02", series, args, {1, 20, 100});
+      },
+      ::testing::ExitedWithCode(1),
+      "cell failed: series 'npros=10' ltot=20 rep=0");
+}
+
+// --- an ablation runs each cell once: --reps must not be silently ignored ---
+
+TEST(SingleCellSeedsDeathTest, RejectsRepsOtherThanOne) {
   bench::BenchArgs args;
   args.reps = 3;
-  EXPECT_EXIT(bench::CellRunner("ablation_mgl", args, ""),
+  EXPECT_EXIT(bench::SingleCellSeeds("ablation_mgl", args),
               ::testing::ExitedWithCode(2), "--reps=3 is not supported");
 }
 
