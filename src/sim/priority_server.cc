@@ -124,14 +124,14 @@ void PriorityServer::StartNextIfIdle() {
   current_ = std::move(queue_.front());
   queue_.pop_front();
   NotifyTransition(/*entering=*/true, ServiceClass::kTransaction);
-  service_start_ = sim_->Now();
+  service_start_ = accounted_from_ = sim_->Now();
   completion_event_ =
       sim_->ScheduleAfter(current_->remaining, [this] { FinishCurrent(); });
 }
 
 void PriorityServer::FinishCurrent() {
   GRANULOCK_CHECK(current_.has_value());
-  busy_time_ += sim_->Now() - service_start_;
+  busy_time_ += sim_->Now() - accounted_from_;
   ++completed_;
   ++finished_;
   GRANULOCK_DCHECK_LE(finished_, accepted_)
@@ -148,7 +148,7 @@ void PriorityServer::EnterLockService() {
   if (current_.has_value()) {
     sim_->Cancel(completion_event_);
     const SimTime served = sim_->Now() - service_start_;
-    busy_time_ += served;
+    busy_time_ += sim_->Now() - accounted_from_;
     NotifyTransition(/*entering=*/false, ServiceClass::kTransaction);
     Job job = std::move(*current_);
     current_.reset();
@@ -168,7 +168,7 @@ void PriorityServer::LeaveLockService() {
 double PriorityServer::BusyTime(ServiceClass cls) const {
   if (cls == ServiceClass::kLock) return lane_->BusyTime();
   double t = busy_time_;
-  if (current_.has_value()) t += sim_->Now() - service_start_;
+  if (current_.has_value()) t += sim_->Now() - accounted_from_;
   return t;
 }
 
@@ -184,9 +184,9 @@ void PriorityServer::ResetStats() {
   busy_time_ = 0.0;
   completed_ = 0;
   // Drop the already-delivered portion of the in-progress job from the
-  // post-reset accounting window. The completion event encodes the
-  // absolute finish time, so nothing further is needed here.
-  if (current_.has_value()) service_start_ = sim_->Now();
+  // post-reset accounting window. Its service start stays put, so a later
+  // preemption still credits all the service it received.
+  if (current_.has_value()) accounted_from_ = sim_->Now();
   if (own_lane_ != nullptr) own_lane_->ResetStats();
 }
 
@@ -211,7 +211,9 @@ void PriorityServer::CheckConsistency() const {
   if (current_.has_value()) {
     GRANULOCK_AUDIT_CHECK_GE(current_->remaining, 0.0)
         << "server " << name_ << " in-service job";
-    GRANULOCK_AUDIT_CHECK_LE(service_start_, sim_->Now())
+    GRANULOCK_AUDIT_CHECK_LE(service_start_, accounted_from_)
+        << "server " << name_ << " accounts service before it started";
+    GRANULOCK_AUDIT_CHECK_LE(accounted_from_, sim_->Now())
         << "server " << name_ << " service started in the future";
   }
   if (own_lane_ != nullptr) own_lane_->CheckConsistency();

@@ -221,6 +221,9 @@ class PriorityServer {
   std::deque<Job> queue_;
   std::optional<Job> current_;
   SimTime service_start_ = 0.0;
+  // Where the in-service job's busy time starts counting: its service
+  // start, or the last `ResetStats` if that came later.
+  SimTime accounted_from_ = 0.0;
   EventId completion_event_ = 0;
   BusyUnionTracker* busy_union_ = nullptr;
   double busy_time_ = 0.0;

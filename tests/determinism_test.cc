@@ -366,7 +366,7 @@ std::vector<GoldenRow> GoldenRows() {
                     return Encode(GranularitySimulator::RunOnce(
                         cfg, workload::WorkloadSpec::Base(cfg), 7, options));
                   },
-                  "58fcd408e3808200"});
+                  "35e5024a0e798c51"});
   rows.push_back({"probabilistic/adaptive_admission",
                   [] {
                     auto cfg = GoldenConfig(1000.0);
@@ -420,7 +420,7 @@ std::vector<GoldenRow> GoldenRows() {
       {"incremental/wound_wait", ContentionPolicyKind::kWoundWait,
        "e56b1b651f55402e"},
       {"incremental/wait_die", ContentionPolicyKind::kWaitDie,
-       "b7632d8e0eb1185d"},
+       "084b213a5c5f2d39"},
       {"incremental/wait_depth", ContentionPolicyKind::kWaitDepth,
        "40031da05a9c7cd5"},
   };

@@ -137,6 +137,23 @@ TEST_F(PriorityServerTest, ResetStatsDropsHistoryButKeepsJob) {
   EXPECT_DOUBLE_EQ(server_.BusyTime(ServiceClass::kTransaction), 6.0);
 }
 
+TEST_F(PriorityServerTest, ResetStatsKeepsTheJobsServiceBeforeTheReset) {
+  double txn_done = -1.0;
+  server_.Submit(ServiceClass::kTransaction, 4.0,
+                 [&] { txn_done = sim_.Now(); });
+  sim_.ScheduleAt(1.0, [&] { server_.ResetStats(); });
+  sim_.ScheduleAt(2.0, [&] {
+    server_.Submit(ServiceClass::kLock, 1.0, [] {});
+  });
+  sim_.RunUntilEmpty();
+  // The job was served [0, 2) before the preemption, reset or not, so it
+  // owes 2.0 units after the lock job ends at 3.
+  EXPECT_DOUBLE_EQ(txn_done, 5.0);
+  // The window counts only service after the reset: [1, 2) + [3, 5).
+  EXPECT_DOUBLE_EQ(server_.BusyTime(ServiceClass::kTransaction), 3.0);
+  EXPECT_DOUBLE_EQ(server_.BusyTime(ServiceClass::kLock), 1.0);
+}
+
 TEST_F(PriorityServerTest, QueueLengthExcludesInService) {
   server_.Submit(ServiceClass::kTransaction, 5.0, [] {});
   server_.Submit(ServiceClass::kTransaction, 5.0, [] {});
