@@ -81,9 +81,7 @@ class ParallelRunner {
 
   // First exception that escaped `fn` in the current batch. error_mu_ is
   // never held together with mu_ today; the ACQUIRED_AFTER declares the
-  // one legal nesting (mu_ before error_mu_) should that ever change,
-  // and granulock-latch-order folds the declaration into the global
-  // acquisition-order graph it proves acyclic.
+  // one legal nesting (mu_ before error_mu_) should that ever change.
   granulock::Mutex error_mu_ GRANULOCK_ACQUIRED_AFTER(mu_);
   bool batch_failed_ GRANULOCK_GUARDED_BY(error_mu_) = false;
   std::string batch_error_ GRANULOCK_GUARDED_BY(error_mu_);

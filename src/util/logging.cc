@@ -8,9 +8,8 @@ namespace granulock {
 namespace {
 
 // Read from every thread that logs (ParallelRunner workers included) and
-// written by flag parsing before fan-out; atomic is the discipline
-// granulock-atomic-discipline demands for cross-thread globals that carry
-// no mutex.
+// written by flag parsing before fan-out; atomic because no mutex guards
+// it.
 std::atomic<LogLevel> g_threshold{LogLevel::kInfo};
 
 const char* LevelName(LogLevel level) {

@@ -62,9 +62,7 @@ class GRANULOCK_SCOPED_CAPABILITY MutexLock {
 /// `Wait` atomically releases the mutex while blocked and re-acquires it
 /// before returning — which is exactly why a condition-variable wait is
 /// the one blocking call that is legal with a mutex "held": the lock is
-/// not actually held while sleeping. granulock-held-across-blocking
-/// encodes the same exception (waits on a declared condition variable
-/// are exempt; every other blocking call under a lock is a finding).
+/// not actually held while sleeping.
 class CondVar {
  public:
   CondVar() = default;

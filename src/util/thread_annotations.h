@@ -9,13 +9,10 @@
 /// `GRANULOCK_REQUIRES(mu_)` cannot be called without it, and a scope
 /// that forgets to release fails the build instead of deadlocking a run.
 ///
-/// granulock-analyze reads the same annotations from source (it does not
-/// need Clang): `granulock-latch-order` seeds its global acquisition-
-/// order graph from `GRANULOCK_ACQUIRED_BEFORE/AFTER`, and
-/// `granulock-atomic-discipline` accepts a `GRANULOCK_GUARDED_BY`
-/// member as protected. Annotations are therefore load-bearing twice —
-/// once in the Clang build, once in the analyzer — and the two gates
-/// cross-check each other (see docs/STATIC_ANALYSIS.md).
+/// `GRANULOCK_ACQUIRED_BEFORE/AFTER` only document the intended nesting:
+/// `-Wthread-safety` does not check lock order (`-Wthread-safety-beta`
+/// would, and no build enables it), and no other tool does either (see
+/// docs/STATIC_ANALYSIS.md).
 ///
 /// The macro set mirrors the capability spelling of the Clang docs and
 /// abseil's thread_annotations.h; the annotated `Mutex` / `MutexLock` /
@@ -62,8 +59,8 @@
 #define GRANULOCK_EXCLUDES(...) \
   GRANULOCK_THREAD_ANNOTATION_(locks_excluded(__VA_ARGS__))
 
-/// Global lock-ordering declarations on the mutex member itself; both
-/// Clang (-Wthread-safety-beta) and granulock-latch-order consume them.
+/// Global lock-ordering declarations on the mutex member itself;
+/// documentation only, see the header comment.
 #define GRANULOCK_ACQUIRED_BEFORE(...) \
   GRANULOCK_THREAD_ANNOTATION_(acquired_before(__VA_ARGS__))
 #define GRANULOCK_ACQUIRED_AFTER(...) \

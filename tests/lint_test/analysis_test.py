@@ -5,9 +5,9 @@ Where lint_test.py drives the whole linter binary over fixture trees,
 this suite imports the package and pins down the analysis machinery on
 synthetic snippets: the hardened lexer (C++17 edge cases), CFG shape
 (branch/loop/early-return/switch merge correctness), the worklist
-dataflow solver (forward/backward, may/must, constant maps, edge
-refinement), the taint engine (sources, sinks, sanitizers, kills), the
-callee-summary fixpoint, and the SARIF reporter's document shape.
+dataflow solver (forward/backward, may/must, edge refinement), the
+taint engine (sources, sinks, sanitizers, kills), the callee-summary
+fixpoint, and the SARIF reporter's document shape.
 
 Usage:
     analysis_test.py --case cfg_if_merge
@@ -26,8 +26,8 @@ _HERE = os.path.dirname(os.path.abspath(__file__))
 _REPO = os.path.realpath(os.path.join(_HERE, "..", ".."))
 sys.path.insert(0, os.path.join(_REPO, "tools", "lint"))
 
-from granulock_lint import (cfg, concurrency, cpp_model,  # noqa: E402
-                            dataflow, lexer, report, summaries, taint)
+from granulock_lint import (cfg, cpp_model, dataflow,  # noqa: E402
+                            lexer, report, summaries, taint)
 from granulock_lint.rules import Finding, all_rules  # noqa: E402
 
 
@@ -256,15 +256,6 @@ def case_dataflow_loop_fixpoint():
     assert "t" in may and "s" in may, may
 
 
-def case_dataflow_const_maps():
-    TOP = dataflow.TOP
-    assert dataflow.join_const(3, 3) == 3
-    assert dataflow.join_const(3, 4) is TOP
-    merged = dataflow.join_const_maps({"a": 1, "b": 2, "c": 5},
-                                      {"a": 1, "b": 3, "d": 7})
-    assert merged == {"a": 1}, merged
-
-
 def case_dataflow_edge_refinement():
     """transfer_edge can kill state along one branch only."""
 
@@ -407,9 +398,6 @@ def case_taint_extra_source_fns():
 
 def case_summaries_fixpoint():
     src = """
-    void ReleaseAll(long txn);
-    void Helper(long txn) { ReleaseAll(txn); }
-    void Outer(long txn) { Helper(txn); }
     double MonotonicSeconds();
     double Seconds() { return MonotonicSeconds() - 1.0; }
     double Wrapper() { return Seconds(); }
@@ -418,7 +406,6 @@ def case_summaries_fixpoint():
     facts = {}
     summaries.collect(facts, _model(src))
     s = summaries.finalize(facts)
-    assert "Helper" in s.releasing_fns and "Outer" in s.releasing_fns
     assert "Seconds" in s.wallclock_source_fns
     assert "Wrapper" in s.wallclock_source_fns
     assert "NotASource" not in s.wallclock_source_fns
@@ -438,181 +425,13 @@ def case_summaries_ambiguous_source():
     assert "Stamp" not in s.wallclock_source_fns
 
 
-# ---------------------------------------------------------- concurrency
-
-
-def _conc(*files) -> concurrency.ConcurrencyResult:
-    """Finalized concurrency model over (path, source) pairs.  Paths must
-    look like shipped tree paths: collection is gated to src/*."""
-    conc = concurrency.ConcFacts()
-    for path, src in files:
-        concurrency.collect(conc, cpp_model.build_model(lexer.lex(path,
-                                                                  src)))
-    return concurrency.finalize(conc)
-
-
-def case_conc_recursion_terminates():
-    # A self-recursive function must not hang the acquire-summary
-    # fixpoint, and a lock released before the recursive call must not
-    # read as held across it.
-    src = """
-    struct R {
-      void Rec(int n) {
-        { granulock::MutexLock l(&mu_); }
-        if (n > 0) { Rec(n - 1); }
-      }
-      granulock::Mutex mu_;
-    };
-    """
-    res = _conc(("src/core/t.cc", src))
-    assert res.acquire_summaries["Rec"] == frozenset({"R::mu_"}), \
-        res.acquire_summaries
-    assert res.cycles == () and res.findings_by_path == {}, \
-        (res.cycles, res.findings_by_path)
-
-
-def case_conc_ambiguous_callee_silent():
-    # 'Maybe' has two definitions (an unresolvable overload to a
-    # name-keyed graph), so calling it with g_a held must NOT grow the
-    # order graph; the uniquely defined 'Definite' must.
-    src = """
-    granulock::Mutex g_a;
-    granulock::Mutex g_b;
-    void Maybe(int x) { granulock::MutexLock l(&g_b); }
-    void Maybe(double x) { }
-    void Definite() { granulock::MutexLock l(&g_b); }
-    void CallAmbiguous() {
-      granulock::MutexLock l(&g_a);
-      Maybe(1);
-    }
-    void CallUnique() {
-      granulock::MutexLock l(&g_a);
-      Definite();
-    }
-    """
-    res = _conc(("src/core/t.cc", src))
-    assert "Maybe" not in res.acquire_summaries, \
-        "two-definition names must have no summary"
-    assert set(res.lock_order_edges) == {("::g_a", "::g_b")}, \
-        res.lock_order_edges
-    assert res.cycles == () and res.findings_by_path == {}
-
-
-def case_conc_blocking_needs_all_defs():
-    # A name blocks only when EVERY definition blocks: one clean
-    # overload silences it (polarity: ambiguity hides findings).
-    src = """
-    void MaybeBlock(int x) { std::fflush(nullptr); }
-    void MaybeBlock(double x) { }
-    void AlwaysBlock(int x) { std::fflush(nullptr); }
-    void AlwaysBlock(double x) { std::fsync(0); }
-    """
-    res = _conc(("src/core/t.cc", src))
-    assert "AlwaysBlock" in res.blocking_fns, res.blocking_fns
-    assert "MaybeBlock" not in res.blocking_fns, res.blocking_fns
-
-
-def case_conc_condvar_exempt_cross_file():
-    # The condvar is declared in the header, the wait happens in the
-    # .cc: the registry must resolve Journal::cv_ across files and
-    # exempt the wait (it releases the mutex while blocked).
-    hdr = """
-    class Journal {
-     public:
-      void Quiesce();
-     private:
-      granulock::Mutex mu_;
-      granulock::CondVar cv_;
-    };
-    """
-    impl = """
-    void Journal::Quiesce() {
-      granulock::MutexLock l(&mu_);
-      cv_.Wait(&mu_);
-    }
-    """
-    res = _conc(("src/core/j.h", hdr), ("src/core/j.cc", impl))
-    assert res.findings_by_path == {}, res.findings_by_path
-    assert "Quiesce" not in res.blocking_fns, res.blocking_fns
-
-
-def case_conc_thread_roots_and_reach():
-    # std::thread construction seeds the root; reachability follows
-    # uniquely defined callees; join() makes the spawner blocking.
-    src = """
-    void Helper() { }
-    void Worker() { Helper(); }
-    void Spawn() {
-      std::thread t(Worker);
-      t.join();
-    }
-    """
-    res = _conc(("src/core/t.cc", src))
-    assert res.thread_roots == frozenset({"Worker"}), res.thread_roots
-    assert {"Worker", "Helper"} <= set(res.thread_reachable), \
-        res.thread_reachable
-    assert "Spawn" in res.blocking_fns, res.blocking_fns
-
-
-def case_conc_requires_self_deadlock():
-    # GRANULOCK_REQUIRES(mu_) on the declaration + a re-acquisition in
-    # the definition is a self-deadlock: a one-node cycle in the graph.
-    src = """
-    class S {
-     public:
-      void Locked() GRANULOCK_REQUIRES(mu_);
-     private:
-      granulock::Mutex mu_;
-    };
-    void S::Locked() { granulock::MutexLock l(&mu_); }
-    """
-    res = _conc(("src/core/t.cc", src))
-    assert res.cycles == (("S::mu_",),), res.cycles
-    (findings,) = res.findings_by_path.values()
-    assert [f[0] for f in findings] == [concurrency.RULE_LATCH_ORDER]
-
-
-def case_conc_lambda_body_excluded():
-    # The lambda handed to emplace_back is deferred code: Start
-    # (REQUIRES mu_) must NOT read as calling Loop (which acquires mu_)
-    # with mu_ held — that edge would be a false self-deadlock.  The
-    # spawn-argument scan must still see Loop as the thread root.
-    src = """
-    class P {
-     public:
-      void Start() GRANULOCK_REQUIRES(mu_);
-      void Loop();
-     private:
-      granulock::Mutex mu_;
-      std::vector<std::thread> workers_;
-    };
-    void P::Start() { workers_.emplace_back([this] { Loop(); }); }
-    void P::Loop() { granulock::MutexLock l(&mu_); }
-    """
-    res = _conc(("src/core/t.cc", src))
-    assert res.lock_order_edges == {}, res.lock_order_edges
-    assert res.cycles == () and res.findings_by_path == {}
-    assert res.thread_roots == frozenset({"Loop"}), res.thread_roots
-
-
-def case_conc_outside_src_not_collected():
-    # Threads spawned by test/bench scaffolding must not grow the
-    # model: the same source under tests/ contributes nothing.
-    src = """
-    void Worker() { }
-    void Spawn() { std::thread t(Worker); }
-    """
-    res = _conc(("tests/core_test/t.cc", src))
-    assert res.thread_roots == frozenset(), res.thread_roots
-    assert res.acquire_summaries == {}, res.acquire_summaries
-
-
 # ---------------------------------------------------------------- sarif
 
 
 def case_sarif_shape():
-    findings = [Finding(rule="granulock-lock-balance", path="src/db/x.cc",
-                        line=21, col=3, message="leak")]
+    findings = [Finding(rule="granulock-fault-point-placement",
+                        path="src/db/x.cc", line=21, col=3,
+                        message="fires")]
     baselined = [Finding(rule="granulock-status-path", path="src/core/y.cc",
                          line=9, col=1, message="old")]
     doc = json.loads(report.render_sarif(findings, baselined, all_rules(),
@@ -621,17 +440,12 @@ def case_sarif_shape():
     assert doc["$schema"].endswith("sarif-2.1.0.json")
     (run,) = doc["runs"]
     rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
-    assert "granulock-lock-balance" in rule_ids
+    assert "granulock-fault-point-placement" in rule_ids
     assert "granulock-rng-stream-isolation" in rule_ids
-    assert "granulock-hierarchy-mode-discipline" in rule_ids
     assert "granulock-status-path" in rule_ids
-    # The v2 concurrency rules ride the same SARIF catalogue/upload.
-    assert "granulock-latch-order" in rule_ids
-    assert "granulock-held-across-blocking" in rule_ids
-    assert "granulock-atomic-discipline" in rule_ids
     assert len(run["results"]) == 2
     live, base = run["results"]
-    assert live["ruleId"] == "granulock-lock-balance"
+    assert live["ruleId"] == "granulock-fault-point-placement"
     loc = live["locations"][0]["physicalLocation"]
     assert loc["artifactLocation"]["uri"] == "src/db/x.cc"
     assert loc["region"]["startLine"] == 21

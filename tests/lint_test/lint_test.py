@@ -20,6 +20,7 @@ import argparse
 import glob
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -90,56 +91,13 @@ def case_rule_fault_point():
                  lines=[20])
 
 
-def case_rule_flag_literal():
-    _expect_rule("fires/flag_literal", "granulock-flag-literal", 2,
-                 lines=[18, 19])
-
-
-def case_rule_header_guard():
-    _expect_rule("fires/header_guard", "granulock-header-guard", 2)
-
-
 def case_rule_usage():
     _expect_rule("fires/usage", "granulock-lint-usage", 1, lines=[5])
-
-
-def case_rule_lock_balance():
-    _expect_rule("fires/lock_balance", "granulock-lock-balance", 1,
-                 lines=[21])
 
 
 def case_rule_rng_stream():
     _expect_rule("fires/rng_stream", "granulock-rng-stream-isolation", 3,
                  lines=[37, 38, 43])
-
-
-def case_rule_hierarchy_mode():
-    _expect_rule("fires/hierarchy_mode",
-                 "granulock-hierarchy-mode-discipline", 1, lines=[30])
-
-
-def case_rule_latch_order():
-    # One finding per cycle, at the lexically earliest witness edge:
-    # line 12 (ACQUIRED_AFTER annotation contradicted by LogLocked) and
-    # line 18 (LockAB/LockBA nest a_/b_ in opposite orders).
-    _expect_rule("fires/latch_order", "granulock-latch-order", 2,
-                 lines=[12, 18])
-
-
-def case_rule_held_across_blocking():
-    # fwrite under the mutex (line 18) and a call to a callee that
-    # blocks on every definition (line 23); the condvar Wait on line 29
-    # must stay silent.
-    _expect_rule("fires/held_across_blocking",
-                 "granulock-held-across-blocking", 2, lines=[18, 23])
-
-
-def case_rule_atomic_discipline():
-    # count_ is written from thread-reachable Body with no
-    # classification (line 21); atomic ok_, guarded guarded_total_, and
-    # the mutex itself must stay silent.
-    _expect_rule("fires/atomic_discipline",
-                 "granulock-atomic-discipline", 1, lines=[21])
 
 
 def case_rule_status_path():
@@ -151,7 +109,7 @@ def case_sarif_report():
     """SARIF output over a firing fixture has the shape GitHub code
     scanning ingests: schema/version, a rule catalogue, one result per
     finding with a physical location."""
-    root, files = _fixture_files("fires/lock_balance")
+    root, files = _fixture_files("fires/status_path")
     cmd = [sys.executable, _LINT, "--root", root, "--format", "sarif",
            "--baseline", "", "--jobs", "1"] + files
     proc = subprocess.run(cmd, capture_output=True, text=True)
@@ -164,13 +122,13 @@ def case_sarif_report():
     driver = run["tool"]["driver"]
     assert driver["name"] == "granulock-lint"
     rule_ids = {r["id"] for r in driver["rules"]}
-    assert "granulock-lock-balance" in rule_ids
+    assert "granulock-status-path" in rule_ids
     (result,) = run["results"]
-    assert result["ruleId"] == "granulock-lock-balance"
+    assert result["ruleId"] == "granulock-status-path"
     assert result["level"] == "warning"
     loc = result["locations"][0]["physicalLocation"]
-    assert loc["region"]["startLine"] == 21
-    assert loc["artifactLocation"]["uri"].endswith("bad_lock_balance.cc")
+    assert loc["region"]["startLine"] == 16
+    assert loc["artifactLocation"]["uri"].endswith("bad_status_path.cc")
     assert "suppressions" not in result
     # Deterministic: a second run is byte-identical.
     proc2 = subprocess.run(cmd, capture_output=True, text=True)
@@ -224,11 +182,41 @@ def case_rules_filter():
     root, files = _fixture_files("fires/determinism_time")
     cmd = [sys.executable, _LINT, "--root", root, "--format", "json",
            "--baseline", "", "--jobs", "1",
-           "--rules", "granulock-header-guard"] + files
+           "--rules", "granulock-status-unchecked"] + files
     proc = subprocess.run(cmd, capture_output=True, text=True)
     doc = json.loads(proc.stdout)
     assert proc.returncode == 0 and doc["findings"] == [], \
         f"--rules filter leaked findings: {doc['findings']}"
+
+
+def case_rule_catalogue():
+    """The ids --list-rules prints are exactly the ids documented in
+    docs/STATIC_ANALYSIS.md's rule catalogue (less granulock-lint-usage,
+    which is emitted by the suppression check, not a registered rule),
+    and each one has a rule_* case proving it fires."""
+    proc = subprocess.run([sys.executable, _LINT, "--list-rules"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    listed = {line for line in proc.stdout.splitlines()
+              if line.startswith("granulock-")}
+    with open(os.path.join(_REPO, "docs", "STATIC_ANALYSIS.md"),
+              encoding="utf-8") as f:
+        docs = f.read()
+    catalogue = docs.split("### Rule catalogue", 1)[1].split("\n#", 1)[0]
+    documented = set(re.findall(r"^\| `(granulock-[a-z-]+)` \|", catalogue,
+                                re.MULTILINE))
+    documented.discard("granulock-lint-usage")
+    assert listed == documented, \
+        f"--list-rules and the docs catalogue disagree: only listed " \
+        f"{sorted(listed - documented)}, only documented " \
+        f"{sorted(documented - listed)}"
+    # A fire case names its rule id as a string constant.
+    fired = {const for name, fn in CASES.items()
+             if name.startswith("rule_") and fn is not case_rule_catalogue
+             for const in fn.__code__.co_consts
+             if isinstance(const, str) and const.startswith("granulock-")}
+    assert listed <= fired, \
+        f"rules without a rule_* fire case: {sorted(listed - fired)}"
 
 
 def case_full_repo(build_dir: str):
@@ -256,15 +244,8 @@ CASES = {
     "rule_audit_side_effect": case_rule_audit_side_effect,
     "rule_status_unchecked": case_rule_status_unchecked,
     "rule_fault_point": case_rule_fault_point,
-    "rule_flag_literal": case_rule_flag_literal,
-    "rule_header_guard": case_rule_header_guard,
     "rule_usage": case_rule_usage,
-    "rule_lock_balance": case_rule_lock_balance,
     "rule_rng_stream": case_rule_rng_stream,
-    "rule_hierarchy_mode": case_rule_hierarchy_mode,
-    "rule_latch_order": case_rule_latch_order,
-    "rule_held_across_blocking": case_rule_held_across_blocking,
-    "rule_atomic_discipline": case_rule_atomic_discipline,
     "rule_status_path": case_rule_status_path,
     "sarif_report": case_sarif_report,
     "suppression": case_suppression,
@@ -272,6 +253,7 @@ CASES = {
     "baseline": case_baseline,
     "json_report": case_json_report,
     "rules_filter": case_rules_filter,
+    "rule_catalogue": case_rule_catalogue,
     "full_repo": case_full_repo,  # needs --build-dir
 }
 

@@ -1,39 +1,22 @@
-"""granulock-analyze: semantic linter + dataflow analyzer for granulock.
+"""granulock-lint: semantic linter for granulock's determinism, audit and
+status contracts.
 
-Enforces project-specific invariants that the generic clang-tidy wall
-cannot express: determinism discipline (no unordered-container iteration
-feeding results, no wall-clock or libc randomness outside the sanctioned
-``util`` paths), audit-macro purity (``GRANULOCK_DCHECK*`` arguments must
-be side-effect-free because they vanish in Release), Status discipline
-(every ``Status``/``Result<T>`` return is checked, propagated, or
-explicitly voided — statement-level and path-sensitive), fault-point
-placement, flag-registration hygiene, and header-guard style; plus the
-path-sensitive protocol rules built on the CFG/dataflow/taint layers:
-lock balance (every successful acquire path releases), RNG stream
-isolation (profiler-private randomness never reaches deterministic
-state), and hierarchy mode discipline (Gray's intent modes at
-``HierarchicalLockManager`` call sites).
-
-v2 (1.2.0) adds the interprocedural concurrency layer
-(``concurrency.py``): a project-wide call graph over the name-keyed
-index with bottom-up lock-acquire and blocking summaries, a global
-lock-acquisition-order graph proven acyclic (``granulock-latch-order``),
-no-mutex-held-across-blocking enforcement with the condition-variable
-exception (``granulock-held-across-blocking``), and a thread-entry
-reachability walk requiring every cross-thread mutable member to carry
-an explicit classification (``granulock-atomic-discipline``).  The same
-contracts are enforced intraprocedurally at compile time by Clang's
-``-Wthread-safety`` via ``src/util/thread_annotations.h``.
+Enforces project-specific invariants that no compiler, sanitizer or test
+checks structurally: determinism discipline (no unordered-container
+iteration feeding results, no wall-clock or libc randomness outside the
+sanctioned ``util`` paths), RNG stream isolation (profiler-private
+randomness and wall-clock reads never reach deterministic state),
+audit-macro purity (``GRANULOCK_DCHECK*`` arguments must be
+side-effect-free because they vanish in Release), fault-point placement,
+and Status discipline (every ``Status``/``Result<T>`` return is checked,
+propagated, or explicitly voided — statement-level and path-sensitive).
 
 The linter is driven by ``compile_commands.json`` (the database CMake
-already exports for clang-tidy) and is organised as a rule engine over a
-frontend abstraction.  The default ``builtin`` frontend is a
-self-contained C++ lexer + lightweight AST (with intraprocedural CFGs,
-a worklist dataflow framework, a configurable taint engine, and callee
-summaries layered on top) written against the same surface the
-``clang.cindex`` bindings expose; it has no dependencies beyond the
-Python standard library, so the lint gate runs on the pinned toolchain
-(which ships no libclang).  See docs/STATIC_ANALYSIS.md.
+already exports for clang-tidy).  Its frontend is a self-contained C++
+lexer + lightweight AST, with intraprocedural CFGs, a worklist dataflow
+framework, a taint engine, and callee summaries layered on top; it has
+no dependencies beyond the Python standard library.  See
+docs/STATIC_ANALYSIS.md.
 """
 
 __version__ = "1.2.0"

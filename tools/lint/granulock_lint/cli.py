@@ -35,9 +35,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--root", default=None,
                    help="repository root (default: the checkout containing "
                         "this script)")
-    p.add_argument("--frontend", default="auto",
-                   choices=["auto", "builtin", "cindex"],
-                   help="parser frontend (default: auto)")
     p.add_argument("--format", dest="fmt", default="text",
                    choices=["text", "json", "sarif"], help="report format")
     p.add_argument("--changed-only", action="store_true",
@@ -72,12 +69,6 @@ def main(argv: List[str] = None) -> int:
             scope = ", ".join(rule.paths) if rule.paths else "all files"
             print(f"{rule.id}\n    scope: {scope}\n    {rule.rationale}")
         return 0
-
-    try:
-        engine.resolve_frontend(args.frontend)
-    except engine.FrontendError as e:
-        print(f"granulock-lint: {e}", file=sys.stderr)
-        return 2
 
     repo_root = os.path.realpath(args.root) if args.root \
         else _default_repo_root()
@@ -135,7 +126,7 @@ def main(argv: List[str] = None) -> int:
               file=sys.stderr)
         return 2
 
-    results, _ = engine.run(repo_root, files, rules=rules, jobs=args.jobs)
+    results = engine.run(repo_root, files, rules=rules, jobs=args.jobs)
 
     errors = [r.error for r in results if r.error]
     for err in errors:
@@ -179,8 +170,8 @@ def main(argv: List[str] = None) -> int:
         (baselined if entry in base.entries else live).append(f)
 
     if args.fmt == "json":
-        meta = {"version": __version__, "frontend": "builtin",
-                "database": db or "", "rules": [r.id for r in rules]}
+        meta = {"version": __version__, "database": db or "",
+                "rules": [r.id for r in rules]}
         sys.stdout.write(report.render_json(
             live, baselined, suppressed, len(results), meta))
     elif args.fmt == "sarif":

@@ -1,6 +1,6 @@
 """Lightweight C++ AST built on the token stream.
 
-The builtin frontend does not type-check C++; it recovers exactly the
+The frontend does not type-check C++; it recovers exactly the
 program structure the rules reason about:
 
   * call expressions, with the full (possibly qualified / member) callee
@@ -20,7 +20,7 @@ each rule must recognise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .lexer import LexedFile, Token, match_paren
 
@@ -74,7 +74,6 @@ class RangeFor:
     iterated expression (``states_`` for ``this->states_``)."""
 
     expr_base: str
-    expr_tokens: Tuple[str, ...]
     line: int
     col: int
 
@@ -212,9 +211,7 @@ def _collect_range_fors(model: FileModel) -> None:
         if base is None:
             continue
         model.range_fors.append(
-            RangeFor(expr_base=base,
-                     expr_tokens=tuple(t.text for t in expr_toks),
-                     line=tok.line, col=tok.col))
+            RangeFor(expr_base=base, line=tok.line, col=tok.col))
 
 
 def _collect_unordered_decls(model: FileModel) -> None:

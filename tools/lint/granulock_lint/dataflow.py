@@ -2,76 +2,22 @@
 
 An analysis subclasses :class:`Analysis` and supplies the classic
 ingredients — boundary state, per-statement transfer, join — plus an
-optional per-edge transfer, which is how path-sensitive rules refine
-state along the true/false edges of a branch (e.g. "on the edge where
-``blocker.has_value()`` is false, the acquisition succeeded").
+optional per-edge transfer, which is how a path-sensitive analysis can
+refine state along the true/false edges of a branch.
 
 The solver runs the standard iterative algorithm in reverse postorder
 (postorder for backward analyses) with the bottom element represented as
 ``None`` (block not yet reached), so `join(None, s) == s` for free and
 unreachable code stays unanalyzed.  States must be immutable values with
-structural equality (frozensets, tuples, dicts treated as read-only);
-transfers return new states instead of mutating.
-
-Small lattice library
----------------------
-* may-analysis over sets: :func:`join_union`
-* must-analysis over sets: :func:`join_intersection`
-* constant propagation: :data:`TOP` and :func:`join_const`, lifted
-  pointwise over variable maps by :func:`join_const_maps` (a variable
-  bound in only one branch drops out — "must be this constant").
+structural equality (frozensets, tuples); transfers return new states
+instead of mutating.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .cfg import CFG, Block, Edge, Stmt
-
-
-class _Top:
-    """The 'unknown value' element of the constant lattice."""
-
-    _instance: Optional["_Top"] = None
-
-    def __new__(cls) -> "_Top":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "TOP"
-
-
-TOP = _Top()
-
-
-def join_union(a: FrozenSet, b: FrozenSet) -> FrozenSet:
-    return a | b
-
-
-def join_intersection(a: FrozenSet, b: FrozenSet) -> FrozenSet:
-    return a & b
-
-
-def join_const(a, b):
-    """Join of two constant-lattice values: equal stays, unequal -> TOP."""
-    if a == b:
-        return a
-    return TOP
-
-
-def join_const_maps(a: Dict, b: Dict) -> Dict:
-    """Pointwise constant join over variable maps.  Keys missing from
-    either side are dropped (nothing is known about them on that path),
-    and keys that join to TOP are dropped too — a lookup miss always
-    means "not a compile-time constant here"."""
-    out = {}
-    for key in a.keys() & b.keys():
-        v = join_const(a[key], b[key])
-        if v is not TOP:
-            out[key] = v
-    return out
 
 
 class Analysis:
@@ -184,24 +130,7 @@ def solve(cfg: CFG, analysis: Analysis) -> Dict[int, Tuple[object, object]]:
     return {b.id: (in_state[b.id], out_state[b.id]) for b in cfg.blocks}
 
 
-def stmt_states(cfg: CFG, analysis: Analysis,
-                solved: Dict[int, Tuple[object, object]]):
-    """Yields ``(stmt, state before stmt)`` for every statement of every
-    reached block of a solved *forward* analysis, by replaying the block
-    transfers.  Statements in unreached blocks are skipped."""
-    for block in cfg.blocks:
-        state = solved[block.id][0]
-        if state is None:
-            continue
-        for stmt in block.stmts:
-            yield stmt, state
-            state = analysis.transfer_stmt(stmt, state)
-
-
-def exit_state(cfg: CFG, analysis: Analysis,
-               solved: Optional[Dict[int, Tuple[object, object]]] = None):
+def exit_state(cfg: CFG, analysis: Analysis):
     """The joined state reaching the function exit of a forward analysis
     (None when the exit is unreachable)."""
-    if solved is None:
-        solved = solve(cfg, analysis)
-    return solved[cfg.exit.id][0]
+    return solve(cfg, analysis)[cfg.exit.id][0]

@@ -1,5 +1,4 @@
-"""The lint engine: frontend selection, indexing, and the parallel
-file-level runner.
+"""The lint engine: indexing and the parallel file-level runner.
 
 Mirrors tools/run_clang_tidy.sh's shape — one worker per file, bounded
 by ``--jobs`` — but in-process.  The project index is built serially
@@ -7,19 +6,6 @@ first (it is cheap: one lex of the tree), then files are linted in a
 ``multiprocessing`` pool; on POSIX the index is shared with workers via
 fork, so nothing is re-parsed.  Output order is independent of worker
 scheduling: findings are sorted before reporting.
-
-Frontends
----------
-``builtin``   the self-contained lexer + lightweight-AST frontend in this
-              package; no dependencies, always available, and the one the
-              fixture tests pin down.
-``cindex``    reserved for the libclang Python bindings.  The pinned
-              toolchain ships no libclang shared library and no
-              ``clang`` Python package (and the repo installs nothing),
-              so selecting it reports a usable error instead of
-              half-working; the rule engine is frontend-agnostic so the
-              port is additive.
-``auto``      ``builtin`` (will prefer ``cindex`` once it exists).
 """
 
 from __future__ import annotations
@@ -27,44 +13,11 @@ from __future__ import annotations
 import multiprocessing
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 from . import cpp_model, lexer, suppress
 from .index import ProjectIndex, index_file
-from .rules import Finding, Rule, RuleContext, all_rules
-
-
-class FrontendError(Exception):
-    pass
-
-
-def cindex_available() -> bool:
-    try:
-        import clang.cindex  # noqa: F401
-        return True
-    except ImportError:
-        return False
-
-
-def resolve_frontend(name: str) -> str:
-    if name == "auto":
-        return "builtin"
-    if name == "builtin":
-        return "builtin"
-    if name == "cindex":
-        if not cindex_available():
-            raise FrontendError(
-                "frontend 'cindex' needs the libclang Python bindings "
-                "(python package 'clang' + libclang.so), which the pinned "
-                "toolchain does not ship; use --frontend=builtin (the "
-                "default, implementing every rule) — see "
-                "docs/STATIC_ANALYSIS.md#frontends")
-        raise FrontendError(
-            "frontend 'cindex' is reserved: clang.cindex imports here, but "
-            "the cursor-visitor port of the rules has not landed; use "
-            "--frontend=builtin")
-    raise FrontendError(f"unknown frontend '{name}' "
-                        f"(expected auto, builtin, or cindex)")
+from .rules import Finding, Rule, RuleContext
 
 
 @dataclass
@@ -145,9 +98,8 @@ def build_index(repo_root: str, files: List[str]) -> ProjectIndex:
     return index
 
 
-def run(repo_root: str, files: List[str], rules: Optional[List[Rule]] = None,
-        jobs: int = 0) -> Tuple[List[FileResult], ProjectIndex]:
-    rules = rules if rules is not None else all_rules()
+def run(repo_root: str, files: List[str], rules: List[Rule],
+        jobs: int = 0) -> List[FileResult]:
     index = build_index(repo_root, files)
     if jobs <= 0:
         jobs = os.cpu_count() or 4
@@ -160,4 +112,4 @@ def run(repo_root: str, files: List[str], rules: Optional[List[Rule]] = None,
                 initargs=(index, rules, repo_root)) as pool:
             results = pool.map(_lint_worker, files, chunksize=4)
     results.sort(key=lambda r: r.path)
-    return results, index
+    return results

@@ -1,12 +1,14 @@
 """Project-wide symbol index.
 
-Two cross-file facts feed the semantic rules:
+Three cross-file facts feed the semantic rules:
 
   * which function names return ``Status`` / ``Result<T>`` (the Status
-    discipline rule flags discarded calls to them), and
+    discipline rules flag discarded or unconsumed calls to them),
   * which method names are declared ``const`` vs non-``const`` (the audit
     purity rule flags non-const member calls inside ``GRANULOCK_DCHECK*``
-    arguments).
+    arguments), and
+  * the callee summaries (``summaries.py``) that widen the RNG-stream
+    isolation rule's sources to wrapper functions.
 
 Both are name-keyed, not overload-resolved, so the index also tracks
 *ambiguity*: a name that is ever declared with a non-Status return type
@@ -20,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
-from . import concurrency as concurrency_mod
 from . import summaries as summaries_mod
 from .cpp_model import FileModel
 from .lexer import Token, match_paren
@@ -49,17 +50,11 @@ class ProjectIndex:
     # Method/function names with at least one non-const
     # declaration/definition.
     nonconst_methods: Set[str] = field(default_factory=set)
-    files_indexed: int = 0
     # Raw per-definition facts for the callee-summary pass, keyed by
     # unqualified name; fixpointed into ``summaries`` by finalize().
     fn_facts: Dict[str, List["summaries_mod.FnFact"]] = field(
         default_factory=dict)
     summaries: Optional["summaries_mod.Summaries"] = None
-    # Raw concurrency facts (locks, threads, per-function events), closed
-    # into ``concurrency`` by finalize().
-    conc_facts: "concurrency_mod.ConcFacts" = field(
-        default_factory=concurrency_mod.ConcFacts)
-    concurrency: Optional["concurrency_mod.ConcurrencyResult"] = None
 
     def returns_status(self, name: str) -> bool:
         return name in self.status_names and name not in self.non_status_names
@@ -71,7 +66,6 @@ class ProjectIndex:
         """Closes the callee summaries; call once after all files are
         indexed (build_index does)."""
         self.summaries = summaries_mod.finalize(self.fn_facts)
-        self.concurrency = concurrency_mod.finalize(self.conc_facts)
 
 
 def _is_declaration(tokens: List[Token], name_index: int) -> bool:
@@ -187,5 +181,3 @@ def index_file(index: ProjectIndex, model: FileModel) -> None:
             elif tail == ";" and kind is not None:
                 index.nonconst_methods.add(tok.text)
     summaries_mod.collect(index.fn_facts, model)
-    concurrency_mod.collect(index.conc_facts, model)
-    index.files_indexed += 1

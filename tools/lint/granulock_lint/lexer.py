@@ -1,14 +1,13 @@
 """A C++ lexer producing a position-annotated token stream.
 
-This is the bottom layer of the builtin frontend.  It understands the
+This is the bottom layer of the frontend.  It understands the
 lexical constructs that matter for semantic linting — identifiers,
 numbers (including digit separators), string/char literals, raw strings,
 multi-character operators, line/block comments, and preprocessor
 directives (with line continuations) — and deliberately nothing more.
 Comments and preprocessor directives are kept out of the main token
-stream but preserved on the side: comments feed the suppression layer
-(``// granulock-lint: allow(...)``) and directives feed the header-guard
-rule.
+stream; comments are preserved on the side for the suppression layer
+(``// granulock-lint: allow(...)``).
 """
 
 from __future__ import annotations
@@ -33,22 +32,11 @@ class Comment:
     end_line: int
 
 
-@dataclass(frozen=True)
-class Directive:
-    """One logical preprocessor directive (continuations folded)."""
-
-    name: str  # "ifndef", "define", "pragma", ...
-    body: str  # everything after the directive name, stripped
-    line: int
-
-
 @dataclass
 class LexedFile:
     path: str
     tokens: List[Token]
     comments: List[Comment]
-    directives: List[Directive]
-    line_count: int
 
 
 # Longest-match-first C++ punctuation and operators.
@@ -84,7 +72,6 @@ class LexError(Exception):
 def lex(path: str, text: str) -> LexedFile:
     tokens: List[Token] = []
     comments: List[Comment] = []
-    directives: List[Directive] = []
 
     i = 0
     line = 1
@@ -140,34 +127,18 @@ def lex(path: str, text: str) -> LexedFile:
             continue
 
         # Preprocessor directive: '#' as the first non-whitespace character
-        # of a line.  Fold continuation lines into one logical directive.
+        # of a line, continuation lines included.  Skipped whole.
         if ch == "#" and at_line_start:
-            start_line = line
             j = i + 1
-            parts = []
             while True:
                 end = text.find("\n", j)
                 if end == -1:
                     end = n
-                seg = text[j:end]
-                if seg.endswith("\\"):
-                    parts.append(seg[:-1])
+                if text[j:end].endswith("\\"):
                     j = end + 1
                     line += 1
                 else:
-                    parts.append(seg)
                     break
-            body = " ".join(parts).strip()
-            # Strip trailing // comment from the directive body.
-            cut = body.find("//")
-            if cut != -1:
-                body = body[:cut].strip()
-            m = re.match(r"([A-Za-z_]+)\b\s*(.*)", body)
-            if m:
-                directives.append(
-                    Directive(name=m.group(1), body=m.group(2).strip(),
-                              line=start_line)
-                )
             i = end  # leave the newline for the main loop
             at_line_start = False
             continue
@@ -240,8 +211,7 @@ def lex(path: str, text: str) -> LexedFile:
             raise LexError(
                 f"{path}:{line}:{col(i)}: unexpected character {ch!r}")
 
-    return LexedFile(path=path, tokens=tokens, comments=comments,
-                     directives=directives, line_count=line)
+    return LexedFile(path=path, tokens=tokens, comments=comments)
 
 
 def match_paren(tokens: List[Token], open_index: int) -> Optional[int]:

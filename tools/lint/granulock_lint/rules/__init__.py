@@ -79,9 +79,6 @@ def register(cls: Type[Rule]) -> Type[Rule]:
 
 def all_rules() -> List[Rule]:
     # Import the rule modules for their registration side effect.
-    from . import (atomic_discipline, audit_purity,  # noqa: F401
-                   determinism, fault_hygiene, flag_hygiene,
-                   header_hygiene, held_across_blocking,
-                   hierarchy_discipline, latch_order, lock_balance,
-                   rng_isolation, status_discipline)
+    from . import (audit_purity, determinism,  # noqa: F401
+                   fault_hygiene, rng_isolation, status_discipline)
     return [cls() for _, cls in sorted(_REGISTRY.items())]

@@ -17,7 +17,7 @@ false gates.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, Optional
+from typing import Iterable, Optional
 
 from .. import dataflow
 from ..cfg import Stmt, calls_in_range, functions_of

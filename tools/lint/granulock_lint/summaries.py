@@ -1,26 +1,16 @@
 """Callee summaries over the name-keyed project index.
 
-The dataflow rules are intraprocedural; summaries give them one hop of
-interprocedural knowledge, with the conservatism polarity chosen per
-use:
+The dataflow rules are intraprocedural; summaries give the
+rng-stream-isolation rule one hop of interprocedural knowledge: the
+**wall-clock / RNG sources**, functions whose return value derives from
+``util/wall_clock`` or a profiler-private RNG stream.  The rule uses
+them to *add* findings, so a name qualifies only when **every**
+definition returns such a value; one clean (or unanalyzed) definition
+disqualifies the name.  Under-approximation can only miss findings.
 
-  * **releasers** — functions that (transitively) call a lock-release
-    primitive.  Used by lock-balance to *suppress* findings ("this exit
-    path calls a helper that releases"), so the set unions over all
-    same-named definitions: any definition releasing is enough to stay
-    silent.  Over-approximation can only hide findings.
-
-  * **wall-clock / RNG sources** — functions whose return value derives
-    from ``util/wall_clock`` or a profiler-private RNG stream.  Used by
-    rng-stream-isolation to *add* findings, so a name qualifies only
-    when **every** definition returns such a value; one clean (or
-    unanalyzed) definition disqualifies the name.  Under-approximation
-    can only miss findings.
-
-Both sets close under calls by fixpoint iteration in
-:func:`finalize` (a releaser's caller via a ``return`` expression is a
-releaser too, a wall-clock wrapper's wrapper is still a source), run
-once after every file has been collected.
+Both source sets (wall clock, RNG) close under calls by fixpoint
+iteration in :func:`finalize` (a wall-clock wrapper's wrapper is still a
+source), run once after every file has been collected.
 """
 
 from __future__ import annotations
@@ -30,9 +20,6 @@ from typing import Dict, FrozenSet, List, Set
 
 from .cfg import calls_in_range, functions_of
 from .cpp_model import FileModel, statement_end
-
-# Lock-release primitives (matched by unqualified name, member or free).
-PRIMITIVE_RELEASES = frozenset({"ReleaseAll", "Release", "Unlock"})
 
 # The one wall-clock primitive (util/wall_clock.h).
 PRIMITIVE_WALLCLOCK = frozenset({"MonotonicSeconds"})
@@ -47,10 +34,7 @@ RNG_RECEIVER_FRAGMENTS = ("contention_rng", "profiler_rng", "sampling_rng")
 class FnFact:
     """Raw per-definition facts, gathered before the fixpoint."""
 
-    name: str
-    callees: FrozenSet[str]  # every call inside the body
     return_callees: FrozenSet[str]  # calls inside return statements
-    direct_release: bool  # body calls a release primitive
     direct_wallclock_return: bool  # a return calls MonotonicSeconds
     direct_rng_return: bool  # a return draws from a profiler stream
 
@@ -66,8 +50,6 @@ def collect(facts: Dict[str, List[FnFact]], model: FileModel) -> None:
     """Gathers raw facts for every function defined in ``model``."""
     tokens = model.lexed.tokens
     for func in functions_of(model):
-        body_calls = calls_in_range(model, func.body_open, func.body_close)
-        callees = frozenset(c.name for c in body_calls)
         return_callees: Set[str] = set()
         direct_wallclock = False
         direct_rng = False
@@ -86,10 +68,7 @@ def collect(facts: Dict[str, List[FnFact]], model: FileModel) -> None:
             else:
                 i += 1
         facts.setdefault(func.name, []).append(FnFact(
-            name=func.name,
-            callees=callees,
             return_callees=frozenset(return_callees),
-            direct_release=bool(callees & PRIMITIVE_RELEASES),
             direct_wallclock_return=direct_wallclock,
             direct_rng_return=direct_rng,
         ))
@@ -99,24 +78,11 @@ def collect(facts: Dict[str, List[FnFact]], model: FileModel) -> None:
 class Summaries:
     """The fixpointed result attached to the project index."""
 
-    releasing_fns: FrozenSet[str]
     wallclock_source_fns: FrozenSet[str]
     rng_source_fns: FrozenSet[str]
 
 
 def finalize(facts: Dict[str, List[FnFact]]) -> Summaries:
-    releasing: Set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for name, defs in facts.items():
-            if name in releasing:
-                continue
-            if any(d.direct_release or (d.callees & releasing)
-                   for d in defs):
-                releasing.add(name)
-                changed = True
-
     def close_sources(direct_attr: str, primitives: FrozenSet[str]
                       ) -> Set[str]:
         sources: Set[str] = set()
@@ -137,7 +103,6 @@ def finalize(facts: Dict[str, List[FnFact]]) -> Summaries:
     wallclock = close_sources("direct_wallclock_return",
                               PRIMITIVE_WALLCLOCK)
     rng = close_sources("direct_rng_return", frozenset())
-    return Summaries(releasing_fns=frozenset(releasing | PRIMITIVE_RELEASES),
-                     wallclock_source_fns=frozenset(wallclock
+    return Summaries(wallclock_source_fns=frozenset(wallclock
                                                     | PRIMITIVE_WALLCLOCK),
                      rng_source_fns=frozenset(rng))

@@ -19,7 +19,7 @@ that does nothing is a lie waiting to be copied.
 from __future__ import annotations
 
 import re
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Iterable, List, Set, Tuple
 
 from .lexer import Comment
 from .rules import Finding
