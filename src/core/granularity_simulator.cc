@@ -98,7 +98,16 @@ Result<SimulationMetrics> GranularitySimulator::Run() {
         options_.target_denial_rate >= 1.0) {
       return Status::InvalidArgument("target_denial_rate must be in (0,1)");
     }
-    adaptive_cap_ = cfg_.ntrans;  // start permissive, tighten on evidence
+    // Start permissive (target = ntrans), tighten on evidence.
+    admission_.emplace(
+        AdmissionOptions{.enabled = true,
+                         .high_water = options_.target_denial_rate,
+                         .low_water = 0.5 * options_.target_denial_rate,
+                         .interval = options_.adaptation_interval,
+                         .decrease_factor = 0.75,
+                         .increase_step = 1,
+                         .min_mpl = 1},
+        cfg_.ntrans);
     protocol_.machine().sim().ScheduleAt(options_.adaptation_interval,
                                          [this] { AdaptAdmissionCap(); });
   }
@@ -122,14 +131,11 @@ void GranularitySimulator::AdaptAdmissionCap() {
   window_requests_ = stats.lifetime_lock_requests();
   window_denials_ = stats.lifetime_lock_denials();
   if (requests > 0) {
-    const double rate =
-        static_cast<double>(denials) / static_cast<double>(requests);
-    if (rate > options_.target_denial_rate) {
-      adaptive_cap_ = std::max<int64_t>(1, (adaptive_cap_ * 3) / 4);
-    } else if (rate < 0.5 * options_.target_denial_rate) {
-      adaptive_cap_ = std::min(cfg_.ntrans, adaptive_cap_ + 1);
-      protocol_.Pump();  // the looser cap may admit immediately
-    }
+    const int64_t before = admission_->target();
+    admission_->Evaluate(static_cast<double>(denials) /
+                         static_cast<double>(requests));
+    // The looser cap may admit immediately.
+    if (admission_->target() > before) protocol_.Pump();
   }
   sim::Machine& machine = protocol_.machine();
   if (machine.Now() + options_.adaptation_interval <= cfg_.tmax) {

@@ -5,6 +5,7 @@
 #include <memory>
 #include <optional>
 
+#include "core/admission.h"
 #include "core/conservative_protocol.h"
 #include "core/fault.h"
 #include "core/metrics.h"
@@ -43,8 +44,9 @@ class GranularitySimulator {
     /// Adaptive transaction-level scheduling (the paper's reference [4]
     /// direction): when true, the multiprogramming cap adjusts itself
     /// every `adaptation_interval` time units — multiplicative decrease
-    /// when the observed denial rate exceeds `target_denial_rate`,
-    /// additive increase when it falls well below. Overrides `max_active`.
+    /// (x3/4) when the observed denial rate exceeds `target_denial_rate`,
+    /// additive increase (+1) when it falls below half of it — through a
+    /// `core::AdmissionController`. Overrides `max_active`.
     bool adaptive_admission = false;
     /// Adaptation period in time units (> 0 when adaptive).
     double adaptation_interval = 100.0;
@@ -110,7 +112,7 @@ class GranularitySimulator {
   void OnGranted(Txn* txn);
   void OnReleased(Txn* txn);
   int64_t AdmissionCap() const {
-    return options_.adaptive_admission ? adaptive_cap_ : options_.max_active;
+    return admission_ ? admission_->target() : options_.max_active;
   }
   /// The probabilistic engine has no lock table; occupancy is estimated
   /// from the locks the active transactions nominally hold.
@@ -149,8 +151,9 @@ class GranularitySimulator {
   /// fall-through condition.
   int64_t active_lu_total_ = 0;
 
-  // Adaptive admission controller state.
-  int64_t adaptive_cap_ = 0;
+  // Adaptive admission: the controller (built in Run() when enabled) and
+  // the lifetime counts at the last evaluation.
+  std::optional<AdmissionController> admission_;
   int64_t window_requests_ = 0;
   int64_t window_denials_ = 0;
 };

@@ -1,7 +1,6 @@
 #include "db/contention_policy.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "core/fault.h"
 
@@ -266,25 +265,8 @@ double RestartGovernor::BackoffDelay(int64_t restarts, Rng& rng) const {
 
 // ---------------------------------------------------------------------
 
-AdmissionController::AdmissionController(AdmissionOptions options,
-                                         int64_t max_mpl)
-    : options_(options), max_mpl_(max_mpl), target_(max_mpl) {}
-
-bool AdmissionController::Evaluate(double blocked_fraction) {
-  const int64_t before = target_;
-  if (blocked_fraction > options_.high_water) {
-    const auto contracted = static_cast<int64_t>(std::floor(
-        static_cast<double>(target_) * options_.decrease_factor));
-    target_ = std::max(options_.min_mpl, contracted);
-    if (target_ < before) ++contractions_;
-  } else if (blocked_fraction < options_.low_water) {
-    target_ = std::min(max_mpl_, target_ + options_.increase_step);
-  }
-  return target_ != before;
-}
-
 Status ValidateContentionOptions(const RestartGovernorOptions& governor,
-                                 const AdmissionOptions& admission) {
+                                 const core::AdmissionOptions& admission) {
   if (governor.backoff_factor < 1.0) {
     return Status::InvalidArgument("backoff_factor must be >= 1");
   }

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "core/admission.h"
 #include "lockmgr/lock_mode.h"
 #include "lockmgr/wait_queue_table.h"
 #include "lockmgr/waits_for.h"
@@ -22,9 +23,9 @@ namespace granulock::db {
 /// boundary (Thomasian). This header separates that choice from the
 /// engine: a `ContentionPolicy` decides who aborts when a lock request
 /// blocks, a `RestartGovernor` decides how victims back off and when a
-/// transaction has restarted enough to be sacrificed, and an
-/// `AdmissionController` throttles the effective multiprogramming level
-/// when the blocked fraction says the system is past its knee.
+/// transaction has restarted enough to be sacrificed, and a
+/// `core::AdmissionController` throttles the effective multiprogramming
+/// level when the blocked fraction says the system is past its knee.
 ///
 /// Determinism contract: policies are pure functions of the lock-table
 /// state and the read-only transaction directory — they draw no
@@ -175,75 +176,16 @@ class RestartGovernor {
   RestartGovernorOptions options_;
 };
 
-// ---------------------------------------------------------------------
-// Admission controller
-
-struct AdmissionOptions {
-  /// Master switch; when false the controller is never constructed and
-  /// the engine is bit-identical to a run without one.
-  bool enabled = false;
-  /// Blocked fraction — (lock waiters + backoff sleepers) / admitted —
-  /// above which the target MPL contracts multiplicatively.
-  double high_water = 0.6;
-  /// Blocked fraction below which the target recovers additively —
-  /// hysteresis: between the waters the target holds.
-  double low_water = 0.3;
-  /// Simulated-time spacing of controller evaluations. Short relative to
-  /// transaction response times: an overloaded seed population (MPL far
-  /// past the knee) must be clamped before its restart storm pollutes a
-  /// whole measurement window.
-  double interval = 10.0;
-  /// Multiplicative decrease applied to the target on contraction.
-  /// Halving reaches a sane target from any overload in log2(MPL)
-  /// evaluations; the additive +1 recovery then probes back up slowly
-  /// (classic AIMD asymmetry).
-  double decrease_factor = 0.5;
-  /// Additive increase applied on recovery.
-  int64_t increase_step = 1;
-  /// The target never contracts below this.
-  int64_t min_mpl = 1;
-};
-
-/// Multiprogramming-level throttle with blocked-fraction feedback:
-/// classic AIMD with hysteresis. New and restarting-as-fresh
-/// (sacrifice-replacement) transactions park in an admission queue while
-/// the admitted count sits at the target; completions and target raises
-/// drain it FIFO.
-class AdmissionController {
- public:
-  /// `max_mpl` is the configured MPL (cfg.ntrans) — the target's ceiling
-  /// and starting value.
-  AdmissionController(AdmissionOptions options, int64_t max_mpl);
-
-  int64_t target() const { return target_; }
-
-  /// One feedback evaluation: contract above the high water, recover
-  /// below the low water, hold in between. Returns true when the target
-  /// changed.
-  bool Evaluate(double blocked_fraction);
-
-  /// Evaluations that contracted the target (diagnostics).
-  int64_t contractions() const { return contractions_; }
-
-  const AdmissionOptions& options() const { return options_; }
-
- private:
-  AdmissionOptions options_;
-  int64_t max_mpl_;
-  int64_t target_;
-  int64_t contractions_ = 0;
-};
-
 /// Validates governor + admission option ranges (flag parsing and the
 /// engine both call this).
 Status ValidateContentionOptions(const RestartGovernorOptions& governor,
-                                 const AdmissionOptions& admission);
+                                 const core::AdmissionOptions& admission);
 
 /// Everything the incremental engine needs to resolve contention.
 struct ContentionOptions {
   ContentionPolicyKind policy = ContentionPolicyKind::kDetectRequester;
   RestartGovernorOptions governor;
-  AdmissionOptions admission;
+  core::AdmissionOptions admission;
 };
 
 /// Fault-injection hook for the `policy_victim_flip` point: when armed

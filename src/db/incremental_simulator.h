@@ -179,7 +179,7 @@ class IncrementalSimulator {
   // Contention resolution (built in Run(); see db/contention_policy.h).
   std::unique_ptr<ContentionPolicy> policy_;
   std::optional<RestartGovernor> governor_;
-  std::optional<AdmissionController> admission_;
+  std::optional<core::AdmissionController> admission_;
   /// Created-but-not-yet-started transactions parked by the admission
   /// controller, FIFO. They hold no locks and occupy no MPL slot.
   std::deque<Txn*> admission_queue_;

@@ -27,6 +27,8 @@
 namespace granulock::db {
 namespace {
 
+using core::AdmissionController;
+using core::AdmissionOptions;
 using lockmgr::LockMode;
 using lockmgr::TxnId;
 using lockmgr::WaitQueueLockTable;
@@ -353,6 +355,49 @@ TEST(AdmissionControllerTest, NeverContractsBelowMinMpl) {
   AdmissionController controller(opts, 8);
   for (int i = 0; i < 20; ++i) controller.Evaluate(1.0);
   EXPECT_EQ(controller.target(), 4);
+}
+
+// The probabilistic engine's adaptive admission steers on the window
+// denial rate with integer AIMD: cut to (cap * 3) / 4 above the target
+// rate, +1 below half of it, clamped to [1, ntrans]. The controller with
+// the options that engine builds must reproduce that arithmetic at every
+// cap in 1..1000, at, just below and just above both thresholds, or the
+// engine's results move.
+TEST(AdmissionControllerTest, MatchesTheDenialRateArithmetic) {
+  constexpr int64_t kNtrans = 1000;
+  for (const double target_rate : {0.1, 0.3, 0.9}) {
+    const auto inline_cap = [&](int64_t cap, double rate) {
+      if (rate > target_rate) return std::max<int64_t>(1, (cap * 3) / 4);
+      if (rate < 0.5 * target_rate) return std::min(kNtrans, cap + 1);
+      return cap;
+    };
+    std::vector<double> rates;
+    for (const double edge : {target_rate, 0.5 * target_rate}) {
+      rates.push_back(std::nextafter(edge, 0.0));
+      rates.push_back(edge);
+      rates.push_back(std::nextafter(edge, 1.0));
+    }
+    AdmissionController controller(
+        AdmissionOptions{.enabled = true,
+                         .high_water = target_rate,
+                         .low_water = 0.5 * target_rate,
+                         .decrease_factor = 0.75,
+                         .increase_step = 1,
+                         .min_mpl = 1},
+        kNtrans);
+    while (controller.target() > 1) controller.Evaluate(1.0);
+    for (int64_t cap = 1; cap <= kNtrans; ++cap) {
+      ASSERT_EQ(controller.target(), cap);
+      for (const double rate : rates) {
+        AdmissionController probe = controller;
+        probe.Evaluate(rate);
+        ASSERT_EQ(probe.target(), inline_cap(cap, rate))
+            << "target_rate=" << target_rate << " cap=" << cap
+            << " rate=" << rate;
+      }
+      controller.Evaluate(0.0);  // +1 to the next cap
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
