@@ -1,5 +1,7 @@
 #include "model/config.h"
 
+#include <cmath>
+
 #include "util/strings.h"
 
 namespace granulock::model {
@@ -20,6 +22,17 @@ Status SystemConfig::Validate() const {
     return Status::InvalidArgument(
         StrFormat("maxtransize must be in [1, dbsize=%lld], got %lld",
                   (long long)dbsize, (long long)maxtransize));
+  }
+  // Every check below is a comparison, which a NaN passes; reject the
+  // non-finite values first.
+  if (!std::isfinite(cputime) || !std::isfinite(iotime) ||
+      !std::isfinite(lcputime) || !std::isfinite(liotime)) {
+    return Status::InvalidArgument("service times must be finite");
+  }
+  if (!std::isfinite(tmax) || !std::isfinite(warmup) ||
+      !std::isfinite(think_time)) {
+    return Status::InvalidArgument(
+        "tmax, warmup and think_time must be finite");
   }
   if (cputime < 0.0 || iotime < 0.0 || lcputime < 0.0 || liotime < 0.0) {
     return Status::InvalidArgument("service times must be non-negative");

@@ -1,5 +1,6 @@
 #include "util/flags.h"
 
+#include <cmath>
 #include <iostream>
 
 #include "util/logging.h"
@@ -59,11 +60,12 @@ Status FlagParser::SetFlag(const std::string& name, const std::string& value) {
       return Status::OK();
     }
     case Type::kDouble: {
+      // strtod also accepts nan and inf, which no flag can mean.
       double v;
-      if (!ParseDouble(value, &v)) {
+      if (!ParseDouble(value, &v) || !std::isfinite(v)) {
         return Status::InvalidArgument("flag --" + name +
-                                       " expects a number, got '" + value +
-                                       "'");
+                                       " expects a finite number, got '" +
+                                       value + "'");
       }
       *static_cast<double*>(info.value) = v;
       return Status::OK();

@@ -1,5 +1,7 @@
 #include "model/config.h"
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 namespace granulock::model {
@@ -94,6 +96,25 @@ TEST(SystemConfigTest, RejectsBadTmaxAndWarmup) {
   EXPECT_FALSE(cfg.Validate().ok());
   cfg.warmup = cfg.tmax / 2;
   EXPECT_TRUE(cfg.Validate().ok());
+  // Comparisons pass NaN through, and an infinite horizon never ends.
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    cfg = SystemConfig{};
+    cfg.tmax = bad;
+    EXPECT_FALSE(cfg.Validate().ok()) << "tmax=" << bad;
+    cfg = SystemConfig{};
+    cfg.warmup = bad;
+    EXPECT_FALSE(cfg.Validate().ok()) << "warmup=" << bad;
+    cfg = SystemConfig{};
+    cfg.think_time = bad;
+    EXPECT_FALSE(cfg.Validate().ok()) << "think_time=" << bad;
+    cfg = SystemConfig{};
+    cfg.cputime = bad;
+    EXPECT_FALSE(cfg.Validate().ok()) << "cputime=" << bad;
+    cfg = SystemConfig{};
+    cfg.liotime = bad;
+    EXPECT_FALSE(cfg.Validate().ok()) << "liotime=" << bad;
+  }
 }
 
 TEST(SystemConfigTest, ThinkTimeDefaultsToPaperModel) {

@@ -161,6 +161,14 @@ TEST(FlagParserTest, BadDoubleAndBoolNameTheFlagAndValue) {
     EXPECT_NE(st.ToString().find("--d"), std::string::npos);
     EXPECT_NE(st.ToString().find("not_a_number"), std::string::npos);
   }
+  // strtod accepts these, but no flag means "not a number" or "forever".
+  for (const char* value : {"nan", "inf", "-inf"}) {
+    ArgvBuilder args({std::string("--d=") + value});
+    const Status st = parser.Parse(args.argc(), args.argv());
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << value;
+    EXPECT_NE(st.ToString().find("--d"), std::string::npos) << value;
+    EXPECT_NE(st.ToString().find(value), std::string::npos) << value;
+  }
   {
     ArgvBuilder args({"--b=maybe"});
     const Status st = parser.Parse(args.argc(), args.argv());
