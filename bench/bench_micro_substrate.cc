@@ -63,9 +63,10 @@ void BM_EventCancelChurn(benchmark::State& state) {
 BENCHMARK(BM_EventCancelChurn)->Arg(10000);
 
 void BM_CalendarQueueChurn(benchmark::State& state) {
-  // The calendar queue's steady-state regime: a large live population
-  // (range(0) events in flight) with random-offset reschedule churn, the
-  // access pattern of a many-transaction run. Each iteration pops the next
+  // The calendar queue's steady state: range(0) events in flight with
+  // random-offset reschedule churn. The engines' own queues peak at a few
+  // hundred live events (docs/PERFORMANCE.md); the 16k size probes how the
+  // queue scales beyond them. Each iteration pops the next
   // event and schedules a replacement at now + U[0, 10), so the queue
   // holds `live` events forever while the clock advances — bucket rotation,
   // bottom-rung refills, and width recalibration all on the hot path.
