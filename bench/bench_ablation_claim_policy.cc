@@ -62,10 +62,10 @@ int main(int argc, char** argv) {
       spec.placement = placement;
       grid.points.push_back(
           {series, static_cast<int>(p), cfg.ltot,
-           bench::EngineCell<core::GranularitySimulator>(cfg, spec, {})});
+           core::EngineCell<core::GranularitySimulator>(cfg, spec, {})});
       grid.points.push_back(
           {series + 1, static_cast<int>(p), cfg.ltot,
-           bench::EngineCell<db::IncrementalSimulator>(cfg, spec, iopt)});
+           core::EngineCell<db::IncrementalSimulator>(cfg, spec, iopt)});
     }
   }
   core::RunReport report;

@@ -55,10 +55,10 @@ int main(int argc, char** argv) {
     const int point = static_cast<int>(p);
     grid.points.push_back(
         {0, point, cfg.ltot,
-         bench::EngineCell<core::GranularitySimulator>(cfg, spec, {})});
+         core::EngineCell<core::GranularitySimulator>(cfg, spec, {})});
     grid.points.push_back(
         {1, point, cfg.ltot,
-         bench::EngineCell<db::ExplicitSimulator>(cfg, spec, {})});
+         core::EngineCell<db::ExplicitSimulator>(cfg, spec, {})});
   }
   core::RunReport report;
   const std::vector<core::ReplicatedMetrics> cells =

@@ -75,7 +75,7 @@ int main(int argc, char** argv) {
                          const db::ExplicitSimulator::Options& opt) {
       grid.points.push_back(
           {series, static_cast<int>(p), cfg.ltot,
-           bench::EngineCell<db::ExplicitSimulator>(cfg, spec, opt)});
+           core::EngineCell<db::ExplicitSimulator>(cfg, spec, opt)});
     };
     add(0, flat);
     add(1, mgl);

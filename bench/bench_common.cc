@@ -507,13 +507,13 @@ FigureData RunFigure(const std::string& experiment_id,
     inputs += "|series=" + series[s].label + ";" + cfg.ToString() + ";" +
               series[s].spec.Describe();
     grid.labels.push_back(series[s].label);
-    grid.serial =
-        grid.serial || core::RequiresSerialExecution(series[s].options);
+    grid.serial = grid.serial || series[s].options.obs.any();
     for (size_t l = 0; l < num_points; ++l) {
       cfg.ltot = data.lock_counts[l];
       grid.points.push_back(core::GridPoint{
           static_cast<int>(s), static_cast<int>(l), cfg.ltot,
-          core::ProbabilisticCell(cfg, series[s].spec, series[s].options)});
+          core::EngineCell<core::GranularitySimulator>(cfg, series[s].spec,
+                                                       series[s].options)});
     }
   }
   grid.fingerprint = RunFingerprint(experiment_id, args, inputs);

@@ -193,20 +193,6 @@ struct BenchGrid {
   bool serial = false;
 };
 
-/// The grid body that runs `Engine` — any engine with `Options::watchdog`
-/// and `RunOnce(cfg, spec, seed, options)` — on (`cfg`, `spec`) with
-/// `options` and the cell's watchdog.
-template <typename Engine>
-core::GridBody EngineCell(const model::SystemConfig& cfg,
-                          const workload::WorkloadSpec& spec,
-                          const typename Engine::Options& options) {
-  return [cfg, spec, options](uint64_t seed, const fault::CellWatchdog* wd) {
-    typename Engine::Options watched = options;
-    watched.watchdog = wd;
-    return Engine::RunOnce(cfg, spec, seed, watched);
-  };
-}
-
 /// Runs `grid` through `core::RunGrid` on --threads workers under the
 /// robustness flags: cells are journaled and replayed with
 /// --checkpoint/--resume, retried per --max_cell_retries, timed out per

@@ -18,7 +18,6 @@
 #include "sim/priority_server.h"
 #include "sim/stats.h"
 #include "sim/simulator.h"
-#include "util/arena.h"
 #include "util/random.h"
 
 namespace granulock {
@@ -84,38 +83,6 @@ void BM_CalendarQueueChurn(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CalendarQueueChurn)->Arg(64)->Arg(1024)->Arg(16384);
-
-void BM_ArenaAllocVsPool(benchmark::State& state) {
-  // Replication-scratch allocation: fill-and-discard vectors, the pattern
-  // of per-txn `blocked` / `sub_cpu_done` buffers. Arg 0 uses the default
-  // heap allocator (every round pays malloc/free); arg 1 uses an Arena
-  // reset between rounds (steady state: one coalesced block, bump-pointer
-  // only). The ratio is what the engines gain per replication.
-  const bool use_arena = state.range(0) != 0;
-  util::Arena arena;
-  constexpr int kVectors = 64;
-  constexpr int kElems = 32;
-  for (auto _ : state) {
-    if (use_arena) {
-      arena.Reset();
-      for (int v = 0; v < kVectors; ++v) {
-        std::vector<int64_t, util::ArenaAllocator<int64_t>> vec{
-            util::ArenaAllocator<int64_t>(&arena)};
-        for (int i = 0; i < kElems; ++i) vec.push_back(i);
-        benchmark::DoNotOptimize(vec.data());
-      }
-    } else {
-      for (int v = 0; v < kVectors; ++v) {
-        std::vector<int64_t> vec;
-        for (int i = 0; i < kElems; ++i) vec.push_back(i);
-        benchmark::DoNotOptimize(vec.data());
-      }
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * kVectors);
-  state.SetLabel(use_arena ? "arena" : "heap");
-}
-BENCHMARK(BM_ArenaAllocVsPool)->Arg(0)->Arg(1);
 
 void BM_PriorityServerThroughput(benchmark::State& state) {
   const int64_t jobs = state.range(0);

@@ -129,7 +129,7 @@ int main(int argc, char** argv) {
       opt.contention = series[s].contention;
       grid.points.push_back(
           {static_cast<int>(s), static_cast<int>(p), mpl_grid[p],
-           bench::EngineCell<db::IncrementalSimulator>(cfg, spec, opt)});
+           core::EngineCell<db::IncrementalSimulator>(cfg, spec, opt)});
     }
   }
   grid.fingerprint = bench::RunFingerprint(kExperimentId, args, inputs);

@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
   // 3. Run and report (optionally with the lifecycle tracer attached).
   sim::TraceRecorder trace;
   core::GranularitySimulator::Options options;
-  if (!trace_path.empty()) options.trace = &trace;
+  if (!trace_path.empty()) options.obs.trace = &trace;
   const Result<core::SimulationMetrics> result =
       core::GranularitySimulator::RunOnce(cfg, spec,
                                           static_cast<uint64_t>(seed),

@@ -18,7 +18,6 @@
 #include "obs/hooks.h"
 #include "sim/invariants.h"
 #include "sim/machine.h"
-#include "sim/trace.h"
 #include "util/logging.h"
 #include "util/random.h"
 #include "util/status.h"
@@ -80,13 +79,12 @@ class ConservativeProtocol {
   /// transactions to the pending queue, else they are prepended (the
   /// retry-immediately policy).
   ConservativeProtocol(Engine* engine, Rng* rng, const obs::Hooks& hooks,
-                       sim::TraceRecorder* trace,
                        const fault::CellWatchdog* watchdog,
                        bool serialize_lock_manager,
                        bool requeue_blocked_at_tail)
       : engine_(engine),
         rng_(rng),
-        probe_(hooks, trace, watchdog),
+        probe_(hooks, watchdog),
         serialize_lock_manager_(serialize_lock_manager),
         requeue_blocked_at_tail_(requeue_blocked_at_tail) {}
 

@@ -7,9 +7,9 @@
 
 namespace granulock::core {
 
-EngineProbe::EngineProbe(const obs::Hooks& hooks, sim::TraceRecorder* trace,
+EngineProbe::EngineProbe(const obs::Hooks& hooks,
                          const fault::CellWatchdog* watchdog)
-    : hooks_(hooks), trace_(trace), watchdog_(watchdog) {}
+    : hooks_(hooks), watchdog_(watchdog) {}
 
 void EngineProbe::Start(sim::Machine* machine, const RunStats* stats,
                         const model::SystemConfig& cfg, bool imputed,

@@ -29,8 +29,7 @@ namespace granulock::core {
 class EngineProbe {
  public:
   /// Sinks are unowned and must outlive the run; any may be null.
-  EngineProbe(const obs::Hooks& hooks, sim::TraceRecorder* trace,
-              const fault::CellWatchdog* watchdog);
+  EngineProbe(const obs::Hooks& hooks, const fault::CellWatchdog* watchdog);
 
   EngineProbe(const EngineProbe&) = delete;
   EngineProbe& operator=(const EngineProbe&) = delete;
@@ -166,7 +165,9 @@ class EngineProbe {
 
  private:
   void Trace(uint64_t txn, sim::TraceEventType type, int64_t detail) {
-    if (trace_ != nullptr) trace_->Record(machine_->Now(), txn, type, detail);
+    if (hooks_.trace != nullptr) {
+      hooks_.trace->Record(machine_->Now(), txn, type, detail);
+    }
   }
   void Span(uint64_t txn, obs::Phase phase, int32_t track, double start) {
     if (hooks_.spans != nullptr) {
@@ -180,7 +181,6 @@ class EngineProbe {
   void ScheduleContentionTick(double delay, Tick tick);
 
   obs::Hooks hooks_;
-  sim::TraceRecorder* trace_;
   const fault::CellWatchdog* watchdog_;
   sim::Machine* machine_ = nullptr;
   const RunStats* stats_ = nullptr;

@@ -6,25 +6,12 @@
 
 #include "sim/invariants.h"
 #include "sim/stats.h"
-#include "util/arena.h"
 #include "util/logging.h"
 #include "util/random.h"
 
 namespace granulock::core {
 
 namespace {
-
-/// Per-worker scratch arena handed to each cell's engine and reset
-/// wholesale between cells. After the first cell on a thread reaches its
-/// high-water mark, every later cell's transaction scratch runs entirely
-/// inside one reused block. Thread-local, so parallel replications never
-/// share an arena; results are bit-identical either way.
-util::Arena* CellArena(util::Arena* requested) {
-  if (requested != nullptr) return requested;
-  static thread_local util::Arena arena;
-  arena.Reset();
-  return &arena;
-}
 
 /// Merges surviving replications in replication order: field sums via
 /// `SimulationMetrics::Accumulate`, then per-field means and the Student-t
@@ -222,23 +209,6 @@ GridResult RunGrid(const std::vector<GridPoint>& grid,
   return out;
 }
 
-GridBody ProbabilisticCell(model::SystemConfig cfg,
-                           workload::WorkloadSpec spec,
-                           GranularitySimulator::Options options) {
-  return [cfg = std::move(cfg), spec = std::move(spec),
-          options = std::move(options)](uint64_t seed,
-                                        const fault::CellWatchdog* wd) {
-    GranularitySimulator::Options cell_options = options;
-    cell_options.watchdog = wd;
-    cell_options.arena = CellArena(options.arena);
-    return GranularitySimulator::RunOnce(cfg, spec, seed, cell_options);
-  };
-}
-
-bool RequiresSerialExecution(const GranularitySimulator::Options& options) {
-  return options.trace != nullptr || options.obs.any();
-}
-
 Result<ReplicatedMetrics> RunReplicated(const model::SystemConfig& cfg,
                                         const workload::WorkloadSpec& spec,
                                         uint64_t base_seed, int replications,
@@ -248,9 +218,10 @@ Result<ReplicatedMetrics> RunReplicated(const model::SystemConfig& cfg,
   if (replications < 1) {
     return Status::InvalidArgument("replications must be >= 1");
   }
-  if (RequiresSerialExecution(options)) runner = nullptr;
+  if (options.obs.any()) runner = nullptr;
   const GridResult grid = RunGrid(
-      {GridPoint{0, 0, cfg.ltot, ProbabilisticCell(cfg, spec, options)}},
+      {GridPoint{0, 0, cfg.ltot,
+                 EngineCell<GranularitySimulator>(cfg, spec, options)}},
       DeriveReplicationSeeds(base_seed, replications), runner, policy);
   const Status& failure = grid.first_failure.status;
   if (!failure.ok() && !policy.allow_partial) return failure;
@@ -281,13 +252,14 @@ Result<std::vector<SweepPoint>> SweepLockCounts(
   if (replications < 1) {
     return Status::InvalidArgument("replications must be >= 1");
   }
-  if (RequiresSerialExecution(options)) runner = nullptr;
+  if (options.obs.any()) runner = nullptr;
   std::vector<GridPoint> grid;
   for (size_t p = 0; p < lock_counts.size(); ++p) {
     model::SystemConfig point_cfg = cfg;
     point_cfg.ltot = lock_counts[p];
-    grid.push_back(GridPoint{0, static_cast<int>(p), lock_counts[p],
-                             ProbabilisticCell(point_cfg, spec, options)});
+    grid.push_back(
+        GridPoint{0, static_cast<int>(p), lock_counts[p],
+                  EngineCell<GranularitySimulator>(point_cfg, spec, options)});
   }
   GridResult result = RunGrid(
       grid, DeriveReplicationSeeds(base_seed, replications), runner, policy);

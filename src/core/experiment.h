@@ -155,23 +155,26 @@ GridResult RunGrid(const std::vector<GridPoint>& grid,
                    const std::vector<uint64_t>& seeds, ParallelRunner* runner,
                    const CellPolicy& policy);
 
-/// The grid body that runs the probabilistic engine on (`cfg`, `spec`)
-/// with `options`, the cell's watchdog, and — unless `options.arena` names
-/// one — a per-worker scratch arena reset between cells.
-GridBody ProbabilisticCell(model::SystemConfig cfg,
-                           workload::WorkloadSpec spec,
-                           GranularitySimulator::Options options);
-
-/// True when `options` attach the trace recorder or obs sinks: those are
-/// unsynchronized single-run inspection tools, so such cells run serially
-/// (their caller passes `RunGrid` no runner).
-bool RequiresSerialExecution(const GranularitySimulator::Options& options);
+/// The grid body that runs `Engine` — any engine with `Options::watchdog`
+/// and `RunOnce(cfg, spec, seed, options)` — on (`cfg`, `spec`) with
+/// `options` and the cell's watchdog.
+template <typename Engine>
+GridBody EngineCell(const model::SystemConfig& cfg,
+                    const workload::WorkloadSpec& spec,
+                    const typename Engine::Options& options) {
+  return [cfg, spec, options](uint64_t seed, const fault::CellWatchdog* wd) {
+    typename Engine::Options watched = options;
+    watched.watchdog = wd;
+    return Engine::RunOnce(cfg, spec, seed, watched);
+  };
+}
 
 /// Runs `replications` independent simulations of (`cfg`, `spec`) and
 /// aggregates: a one-point `RunGrid` over `DeriveReplicationSeeds`.
-/// Bit-identical for any `runner`; runs serially when `options` attach
-/// sinks. Under `policy.allow_partial` failed replications drop out of the
-/// mean (`replications` counts the survivors). Errors: InvalidArgument for
+/// Bit-identical for any `runner`; runs serially when `options.obs`
+/// attaches sinks, which are unsynchronized single-run tools. Under
+/// `policy.allow_partial` failed replications drop out of the mean
+/// (`replications` counts the survivors). Errors: InvalidArgument for
 /// `replications < 1`; otherwise the first failure, Cancelled when an
 /// interrupt left no survivor, or Internal.
 Result<ReplicatedMetrics> RunReplicated(

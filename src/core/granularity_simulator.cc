@@ -1,8 +1,8 @@
 #include "core/granularity_simulator.h"
 
 #include <algorithm>
-#include <memory>
 #include <utility>
+#include <vector>
 
 #include "sim/invariants.h"
 
@@ -11,26 +11,16 @@ namespace granulock::core {
 /// One live transaction. `params` is drawn once at creation; `blocked`
 /// lists the transactions this one is currently blocking.
 struct GranularitySimulator::Txn {
-  /// Scratch vectors draw from the run's arena: they grow to steady-state
-  /// capacity once and are reclaimed wholesale when the replication's
-  /// arena resets, so pooled reuse never touches the heap.
-  explicit Txn(util::Arena* arena)
-      : blocked(util::ArenaAllocator<Txn*>(arena)),
-        sub_cpu_done(
-            util::ArenaAllocator<std::pair<int32_t, double>>(arena)) {}
-
   uint64_t id = 0;
   workload::TransactionParams params;
   double arrival_time = 0.0;  // first entry into the pending queue
   int64_t subtxns_remaining = 0;
-  std::vector<Txn*, util::ArenaAllocator<Txn*>> blocked;
+  std::vector<Txn*> blocked;
 
   PhaseClock clock;  // phase accounting, always on
   // (node, cpu-done) per sub-transaction; filled only when a SpanRecorder
   // is attached, to emit the sync spans at completion.
-  std::vector<std::pair<int32_t, double>,
-              util::ArenaAllocator<std::pair<int32_t, double>>>
-      sub_cpu_done;
+  std::vector<std::pair<int32_t, double>> sub_cpu_done;
 
   /// Freshly-constructed state, vectors' capacity kept (core::TxnPool).
   void Reset() {
@@ -52,7 +42,7 @@ GranularitySimulator::GranularitySimulator(model::SystemConfig cfg,
       rng_(seed),
       contention_rng_(seed ^ 0x5deece66d1ce4e5dull),
       conflict_(std::max<int64_t>(1, cfg_.ltot)),
-      protocol_(this, &rng_, options_.obs, options_.trace, options_.watchdog,
+      protocol_(this, &rng_, options_.obs, options_.watchdog,
                 options_.serialize_lock_manager,
                 options_.requeue_blocked_at_tail) {}
 
@@ -80,22 +70,17 @@ Result<SimulationMetrics> GranularitySimulator::Run() {
   GRANULOCK_RETURN_NOT_OK(protocol_.Begin());
   GRANULOCK_RETURN_NOT_OK(cfg_.Validate());
   GRANULOCK_RETURN_NOT_OK(spec_.Validate(cfg_));
-  if (options_.arena != nullptr) {
-    arena_ = options_.arena;
-  } else {
-    owned_arena_ = std::make_unique<util::Arena>();
-    arena_ = owned_arena_.get();
-  }
   txn_factory_.emplace(cfg_, spec_);
   if (options_.max_active < 0) {
     return Status::InvalidArgument("max_active must be >= 0");
   }
   if (options_.adaptive_admission) {
-    if (options_.adaptation_interval <= 0.0) {
+    // Negated ranges, so a NaN fails them.
+    if (!(options_.adaptation_interval > 0.0)) {
       return Status::InvalidArgument("adaptation_interval must be positive");
     }
-    if (options_.target_denial_rate <= 0.0 ||
-        options_.target_denial_rate >= 1.0) {
+    if (!(options_.target_denial_rate > 0.0 &&
+          options_.target_denial_rate < 1.0)) {
       return Status::InvalidArgument("target_denial_rate must be in (0,1)");
     }
     // Start permissive (target = ntrans), tighten on evidence.
@@ -115,7 +100,7 @@ Result<SimulationMetrics> GranularitySimulator::Run() {
 }
 
 GranularitySimulator::Txn* GranularitySimulator::CreateTransaction() {
-  Txn* txn = protocol_.txns().Acquire(arena_);
+  Txn* txn = protocol_.txns().Acquire();
   txn_factory_->Generate(rng_, &txn->params);
   return txn;
 }

@@ -2,7 +2,6 @@
 #define GRANULOCK_CORE_GRANULARITY_SIMULATOR_H_
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 
 #include "core/admission.h"
@@ -12,8 +11,6 @@
 #include "model/config.h"
 #include "model/conflict.h"
 #include "obs/hooks.h"
-#include "sim/trace.h"
-#include "util/arena.h"
 #include "util/random.h"
 #include "util/status.h"
 #include "workload/workload.h"
@@ -52,11 +49,8 @@ class GranularitySimulator {
     double adaptation_interval = 100.0;
     /// Denial rate the adaptive controller steers toward (in (0, 1)).
     double target_denial_rate = 0.3;
-    /// Optional lifecycle tracer (not owned; must outlive the run).
-    /// Records created / lock_requested / lock_granted / lock_denied /
-    /// completed events without affecting simulation behaviour.
-    sim::TraceRecorder* trace = nullptr;
-    /// Optional observability sinks (not owned; must outlive the run).
+    /// Optional observability sinks, the lifecycle tracer among them (not
+    /// owned; must outlive the run).
     /// Attaching any of them never changes simulated results: the same
     /// seed yields bit-identical `SimulationMetrics` either way.
     obs::Hooks obs;
@@ -66,13 +60,6 @@ class GranularitySimulator {
     /// simulated results — and the poll throws to cancel the run at a
     /// deterministic simulated-time boundary. Null disables polling.
     const fault::CellWatchdog* watchdog = nullptr;
-    /// Optional arena backing per-transaction scratch vectors (not owned;
-    /// must outlive the engine and must not be `Reset` while it lives).
-    /// Replication drivers pass a per-worker arena and reset it wholesale
-    /// between cells; null makes the engine use a private arena. Either
-    /// way results are bit-identical — the arena only changes where
-    /// scratch memory lives.
-    util::Arena* arena = nullptr;
   };
 
   /// Builds a simulator for (`cfg`, `spec`); `seed` fully determines the
@@ -131,9 +118,6 @@ class GranularitySimulator {
   /// Built in `Run()` (needs a validated spec); amortizes lock-demand and
   /// node-set work across the millions of transactions one run creates.
   std::optional<workload::TransactionFactory> txn_factory_;
-  /// `options_.arena` or the private fallback; backs Txn scratch vectors.
-  util::Arena* arena_ = nullptr;
-  std::unique_ptr<util::Arena> owned_arena_;
   Rng rng_;
   /// Profiler-private stream for imputed granule attribution (the
   /// probabilistic conflict model has no real lock table). Never draws

@@ -25,15 +25,14 @@ class TxnPool {
   }
 
   /// A transaction in its freshly-constructed state: a recycled one when
-  /// available, else `Txn(args...)`.
-  template <typename... Args>
-  Txn* Acquire(Args&&... args) {
+  /// available, else a new `Txn`.
+  Txn* Acquire() {
     std::unique_ptr<Txn> owned;
     if (!free_.empty()) {
       owned = std::move(free_.back());
       free_.pop_back();
     } else {
-      owned = std::make_unique<Txn>(std::forward<Args>(args)...);
+      owned = std::make_unique<Txn>();
     }
     Txn* txn = owned.get();
     live_.push_back(std::move(owned));

@@ -267,22 +267,23 @@ double RestartGovernor::BackoffDelay(int64_t restarts, Rng& rng) const {
 
 Status ValidateContentionOptions(const RestartGovernorOptions& governor,
                                  const core::AdmissionOptions& admission) {
-  if (governor.backoff_factor < 1.0) {
+  // Each check negates the accepted range, so a NaN fails it.
+  if (!(governor.backoff_factor >= 1.0)) {
     return Status::InvalidArgument("backoff_factor must be >= 1");
   }
-  if (governor.max_backoff < 0.0) {
+  if (!(governor.max_backoff >= 0.0)) {
     return Status::InvalidArgument("max_backoff must be >= 0 (0 = uncapped)");
   }
-  if (admission.high_water <= 0.0 || admission.high_water > 1.0 ||
-      admission.low_water < 0.0 ||
-      admission.low_water >= admission.high_water) {
+  if (!(admission.high_water > 0.0 && admission.high_water <= 1.0 &&
+        admission.low_water >= 0.0 &&
+        admission.low_water < admission.high_water)) {
     return Status::InvalidArgument(
         "admission waters must satisfy 0 <= low < high <= 1");
   }
-  if (admission.interval <= 0.0) {
+  if (!(admission.interval > 0.0)) {
     return Status::InvalidArgument("admission interval must be positive");
   }
-  if (admission.decrease_factor <= 0.0 || admission.decrease_factor >= 1.0) {
+  if (!(admission.decrease_factor > 0.0 && admission.decrease_factor < 1.0)) {
     return Status::InvalidArgument(
         "admission decrease_factor must be in (0, 1)");
   }

@@ -82,7 +82,7 @@ ExplicitSimulator::ExplicitSimulator(model::SystemConfig cfg,
       spec_(std::move(spec)),
       options_(options),
       rng_(seed),
-      protocol_(this, &rng_, options_.obs, options_.trace, options_.watchdog,
+      protocol_(this, &rng_, options_.obs, options_.watchdog,
                 /*serialize_lock_manager=*/true,
                 /*requeue_blocked_at_tail=*/true) {}
 
@@ -111,7 +111,8 @@ Result<core::SimulationMetrics> ExplicitSimulator::Run() {
   GRANULOCK_RETURN_NOT_OK(cfg_.Validate());
   GRANULOCK_RETURN_NOT_OK(spec_.Validate(cfg_));
   txn_factory_.emplace(cfg_, spec_);
-  if (options_.read_fraction < 0.0 || options_.read_fraction > 1.0) {
+  // A negated range, so a NaN fails it.
+  if (!(options_.read_fraction >= 0.0 && options_.read_fraction <= 1.0)) {
     return Status::InvalidArgument("read_fraction must be in [0, 1]");
   }
   if (options_.coarse_threshold < 0) {

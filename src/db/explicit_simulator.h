@@ -13,7 +13,6 @@
 #include "lockmgr/lock_table.h"
 #include "model/config.h"
 #include "obs/hooks.h"
-#include "sim/trace.h"
 #include "util/random.h"
 #include "util/status.h"
 #include "workload/workload.h"
@@ -66,10 +65,9 @@ class ExplicitSimulator {
     /// Probability that a transaction is read-only and takes S locks
     /// (default 0: all transactions update, matching the paper).
     double read_fraction = 0.0;
-    /// Optional lifecycle tracer (not owned; must outlive the run).
-    sim::TraceRecorder* trace = nullptr;
-    /// Optional observability sinks (not owned; must outlive the run).
-    /// Attaching any of them never changes simulated results.
+    /// Optional observability sinks, the lifecycle tracer among them (not
+    /// owned; must outlive the run). Attaching any of them never changes
+    /// simulated results.
     obs::Hooks obs;
     /// Optional per-cell watchdog; see `core::GranularitySimulator`.
     const fault::CellWatchdog* watchdog = nullptr;

@@ -68,7 +68,7 @@ IncrementalSimulator::IncrementalSimulator(model::SystemConfig cfg,
       spec_(std::move(spec)),
       options_(options),
       rng_(seed),
-      probe_(options_.obs, options_.trace, options_.watchdog),
+      probe_(options_.obs, options_.watchdog),
       seed_(seed) {}
 
 IncrementalSimulator::IncrementalSimulator(model::SystemConfig cfg,
@@ -117,10 +117,11 @@ Result<core::SimulationMetrics> IncrementalSimulator::Run() {
   GRANULOCK_RETURN_NOT_OK(cfg_.Validate());
   GRANULOCK_RETURN_NOT_OK(spec_.Validate(cfg_));
   txn_factory_.emplace(cfg_, spec_);
-  if (options_.read_fraction < 0.0 || options_.read_fraction > 1.0) {
+  // Negated ranges, so a NaN fails them.
+  if (!(options_.read_fraction >= 0.0 && options_.read_fraction <= 1.0)) {
     return Status::InvalidArgument("read_fraction must be in [0, 1]");
   }
-  if (options_.restart_delay <= 0.0) {
+  if (!(options_.restart_delay > 0.0)) {
     return Status::InvalidArgument("restart_delay must be positive");
   }
   GRANULOCK_RETURN_NOT_OK(ValidateContentionOptions(
@@ -355,6 +356,12 @@ void IncrementalSimulator::CheckConsistency() const {
   GRANULOCK_AUDIT_CHECK_EQ(txn_by_id_.size(), txns_.live());
   GRANULOCK_AUDIT_CHECK_EQ(waiting_count_, table_->WaitingCount());
   table_->CheckConsistency();
+  // Every lock holder is live: a dead holder's lock leaked at its commit,
+  // abort or sacrifice.
+  for (const lockmgr::TxnId holder : table_->HoldingTxns()) {
+    GRANULOCK_AUDIT_CHECK(txn_by_id_.contains(holder))
+        << "txn " << holder << " holds locks but is not live";
+  }
   // A doomed transaction aborts at its next safe point and never queues;
   // a queued doomed transaction would deadlock against its own abort.
   for (const auto& [waiter, granule] : table_->WaitingRequests()) {

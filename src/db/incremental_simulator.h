@@ -19,7 +19,6 @@
 #include "model/config.h"
 #include "obs/hooks.h"
 #include "sim/machine.h"
-#include "sim/trace.h"
 #include "util/random.h"
 #include "util/status.h"
 #include "workload/workload.h"
@@ -69,15 +68,12 @@ class IncrementalSimulator {
     /// uncapped governor, admission disabled) are bit-identical to the
     /// engine's historical hard-coded behavior.
     ContentionOptions contention;
-    /// Optional lifecycle tracer (not owned; must outlive the run).
-    /// Incremental runs additionally record `aborted` events for deadlock
-    /// victims.
-    sim::TraceRecorder* trace = nullptr;
-    /// Optional observability sinks (not owned; must outlive the run).
-    /// Attaching any of them never changes simulated results. Under this
-    /// engine `phase_lock_wait` covers lock-cost service, wait-queue
-    /// time, and deadlock abort/backoff; `phase_pending_wait` is 0 (no
-    /// pending queue).
+    /// Optional observability sinks, the lifecycle tracer among them (not
+    /// owned; must outlive the run). Attaching any of them never changes
+    /// simulated results. Under this engine the tracer also records
+    /// `aborted` events for deadlock victims, `phase_lock_wait` covers
+    /// lock-cost service, wait-queue time, and deadlock abort/backoff, and
+    /// `phase_pending_wait` is 0 (no pending queue).
     obs::Hooks obs;
     /// Optional per-cell watchdog; see `core::GranularitySimulator`.
     const fault::CellWatchdog* watchdog = nullptr;

@@ -47,7 +47,7 @@ TransferSimulator::TransferSimulator(model::SystemConfig cfg, uint64_t seed,
     : cfg_(std::move(cfg)),
       options_(options),
       rng_(seed),
-      probe_(obs::Hooks{.contention = options_.contention}, /*trace=*/nullptr,
+      probe_(obs::Hooks{.contention = options_.contention},
              options_.watchdog) {}
 
 TransferSimulator::TransferSimulator(model::SystemConfig cfg, uint64_t seed)
@@ -79,10 +79,11 @@ Result<TransferSimulator::Report> TransferSimulator::Run() {
   if (cfg_.dbsize < 2) {
     return Status::InvalidArgument("transfers need at least two accounts");
   }
-  if (options_.hot_fraction < 0.0 || options_.hot_fraction > 1.0) {
+  // Negated ranges, so a NaN fails them.
+  if (!(options_.hot_fraction >= 0.0 && options_.hot_fraction <= 1.0)) {
     return Status::InvalidArgument("hot_fraction must be in [0, 1]");
   }
-  if (options_.zipf_theta < 0.0 || options_.zipf_theta >= 1.0) {
+  if (!(options_.zipf_theta >= 0.0 && options_.zipf_theta < 1.0)) {
     return Status::InvalidArgument("zipf_theta must be in [0, 1)");
   }
   if (options_.zipf_theta > 0.0) {

@@ -131,6 +131,13 @@ std::vector<std::pair<TxnId, int64_t>> WaitQueueLockTable::WaitingRequests()
   return out;
 }
 
+std::vector<TxnId> WaitQueueLockTable::HoldingTxns() const {
+  std::vector<TxnId> out;
+  out.reserve(held_by_txn_.size());
+  for (const auto& [txn, granules] : held_by_txn_) out.push_back(txn);
+  return out;
+}
+
 int64_t WaitQueueLockTable::LockedGranules() const {
   int64_t count = 0;
   for (const auto& [granule, state] : granules_) {

@@ -82,6 +82,9 @@ class WaitQueueLockTable {
   /// order. Used to rebuild the waits-for graph for deadlock detection.
   std::vector<std::pair<TxnId, int64_t>> WaitingRequests() const;
 
+  /// Every transaction holding at least one lock, in no particular order.
+  std::vector<TxnId> HoldingTxns() const;
+
   /// True iff no locks are held and no requests wait.
   bool Empty() const { return granules_.empty(); }
 

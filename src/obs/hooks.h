@@ -6,11 +6,15 @@
 #include "obs/span_trace.h"
 #include "obs/time_series.h"
 
+namespace granulock::sim {
+class TraceRecorder;
+}  // namespace granulock::sim
+
 namespace granulock::obs {
 
 /// The bundle of opt-in observability sinks an engine accepts through its
-/// `Options` (alongside the older `sim::TraceRecorder*` lifecycle hook).
-/// All pointers are optional and unowned; they must outlive the run.
+/// `Options`. All pointers are optional and unowned; they must outlive the
+/// run.
 ///
 /// Contract: attaching any sink MUST NOT change simulated results — the
 /// same seed yields bit-identical `SimulationMetrics` with hooks set or
@@ -29,10 +33,13 @@ struct Hooks {
   /// Per-granule wait attribution, blocking-chain telemetry, and the
   /// contention time series (see obs/contention.h).
   ContentionProfiler* contention = nullptr;
+  /// Transaction-lifecycle events (created, lock requested / granted /
+  /// denied, completed, aborted); see sim/trace.h.
+  sim::TraceRecorder* trace = nullptr;
 
   bool any() const {
     return registry != nullptr || spans != nullptr || sampler != nullptr ||
-           contention != nullptr;
+           contention != nullptr || trace != nullptr;
   }
 };
 

@@ -311,6 +311,16 @@ TEST(ContentionOptionsTest, ValidationRejectsBadRanges) {
   AdmissionOptions admission;
   EXPECT_TRUE(ValidateContentionOptions(governor, admission).ok());
 
+  // A NaN in any one field fails its range.
+  for (double* field : {&governor.backoff_factor, &governor.max_backoff,
+                        &admission.high_water, &admission.low_water,
+                        &admission.interval, &admission.decrease_factor}) {
+    const double valid = *field;
+    *field = std::nan("");
+    EXPECT_FALSE(ValidateContentionOptions(governor, admission).ok());
+    *field = valid;
+  }
+
   governor.backoff_factor = 0.5;  // < 1 would shrink the backoff
   EXPECT_FALSE(ValidateContentionOptions(governor, admission).ok());
   governor.backoff_factor = 1.0;

@@ -475,7 +475,7 @@ TEST(DeterminismTest, WarmupIsMeasurementOnly) {
   auto probabilistic = [](GranularitySimulator::Options options) -> Run {
     return [options](const model::SystemConfig& cfg,
                      sim::TraceRecorder* trace) mutable {
-      options.trace = trace;
+      options.obs.trace = trace;
       return GranularitySimulator::RunOnce(
                  cfg, workload::WorkloadSpec::Base(cfg), 11, options)
           .ok();
@@ -499,7 +499,7 @@ TEST(DeterminismTest, WarmupIsMeasurementOnly) {
       {"explicit/flat", table1,
        [](const model::SystemConfig& cfg, sim::TraceRecorder* trace) {
          db::ExplicitSimulator::Options options;
-         options.trace = trace;
+         options.obs.trace = trace;
          return db::ExplicitSimulator::RunOnce(
                     cfg, workload::WorkloadSpec::Base(cfg), 11, options)
              .ok();
@@ -511,7 +511,7 @@ TEST(DeterminismTest, WarmupIsMeasurementOnly) {
          db::IncrementalSimulator::Options options;
          options.contention.policy = db::ContentionPolicyKind::kDetectRequester;
          options.contention.admission.enabled = true;
-         options.trace = trace;
+         options.obs.trace = trace;
          return db::IncrementalSimulator::RunOnce(cfg, spec, 3, options).ok();
        }},
   };

@@ -199,18 +199,9 @@ TEST(RunGridTest, EveryEngineMatchesDirectRunsBitForBit) {
   const workload::WorkloadSpec spec = workload::WorkloadSpec::Base(cfg);
   const std::vector<uint64_t> seeds = DeriveReplicationSeeds(17, 2);
   const std::vector<GridPoint> grid = {
-      {0, 0, cfg.ltot, ProbabilisticCell(cfg, spec, {})},
-      {1, 0, cfg.ltot,
-       [&](uint64_t seed, const fault::CellWatchdog* wd) {
-         db::ExplicitSimulator::Options options;
-         options.watchdog = wd;
-         return db::ExplicitSimulator::RunOnce(cfg, spec, seed, options);
-       }},
-      {2, 0, cfg.ltot, [&](uint64_t seed, const fault::CellWatchdog* wd) {
-         db::IncrementalSimulator::Options options;
-         options.watchdog = wd;
-         return db::IncrementalSimulator::RunOnce(cfg, spec, seed, options);
-       }}};
+      {0, 0, cfg.ltot, EngineCell<GranularitySimulator>(cfg, spec, {})},
+      {1, 0, cfg.ltot, EngineCell<db::ExplicitSimulator>(cfg, spec, {})},
+      {2, 0, cfg.ltot, EngineCell<db::IncrementalSimulator>(cfg, spec, {})}};
   // The expected merge of each point: its direct runs summed in
   // replication order, then averaged.
   std::vector<std::string> expected;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 namespace granulock::db {
 namespace {
 
@@ -79,10 +81,12 @@ TEST(ExplicitSimulatorTest, ReadersImproveConcurrencyOverWriters) {
 TEST(ExplicitSimulatorTest, InvalidReadFractionRejected) {
   const model::SystemConfig cfg = QuickConfig();
   ExplicitSimulator::Options options;
-  options.read_fraction = 1.5;
-  auto result = ExplicitSimulator::RunOnce(
-      cfg, workload::WorkloadSpec::Base(cfg), 1, options);
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  for (const double fraction : {1.5, std::nan("")}) {
+    options.read_fraction = fraction;
+    auto result = ExplicitSimulator::RunOnce(
+        cfg, workload::WorkloadSpec::Base(cfg), 1, options);
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(ExplicitSimulatorTest, NegativeCoarseThresholdRejected) {

@@ -332,7 +332,15 @@ TEST(GranularitySimulatorTest, AdaptiveAdmissionValidatesParameters) {
                 .code(),
             StatusCode::kInvalidArgument);
   options.adaptation_interval = 100.0;
-  options.target_denial_rate = 1.5;
+  for (const double rate : {1.5, std::nan("")}) {
+    options.target_denial_rate = rate;
+    EXPECT_EQ(GranularitySimulator::RunOnce(cfg, spec, 1, options)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument);
+  }
+  options.target_denial_rate = 0.3;
+  options.adaptation_interval = std::nan("");
   EXPECT_EQ(GranularitySimulator::RunOnce(cfg, spec, 1, options)
                 .status()
                 .code(),

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "core/granularity_simulator.h"
 
 namespace granulock::db {
@@ -92,11 +94,23 @@ TEST(IncrementalSimulatorTest, AllReadersNeverWaitOrDeadlock) {
 
 TEST(IncrementalSimulatorTest, InvalidReadFractionRejected) {
   const model::SystemConfig cfg = QuickConfig();
-  IncrementalSimulator::Options options;
-  options.read_fraction = -0.5;
-  auto result = IncrementalSimulator::RunOnce(
-      cfg, workload::WorkloadSpec::Base(cfg), 1, options);
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  const auto spec = workload::WorkloadSpec::Base(cfg);
+  for (const double fraction : {-0.5, std::nan("")}) {
+    IncrementalSimulator::Options options;
+    options.read_fraction = fraction;
+    EXPECT_EQ(IncrementalSimulator::RunOnce(cfg, spec, 1, options)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument);
+  }
+  for (const double delay : {0.0, std::nan("")}) {
+    IncrementalSimulator::Options options;
+    options.restart_delay = delay;
+    EXPECT_EQ(IncrementalSimulator::RunOnce(cfg, spec, 1, options)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(IncrementalSimulatorTest, RunTwiceFails) {

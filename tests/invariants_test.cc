@@ -94,6 +94,7 @@ struct AuditTestPeer {
   }
   static void Check(const ExplicitSimulator& s) { s.CheckConsistency(); }
   static auto& InBackoff(IncrementalSimulator& s) { return s.in_backoff_; }
+  static auto& Table(IncrementalSimulator& s) { return *s.table_; }
   static void Check(const IncrementalSimulator& s) { s.CheckConsistency(); }
   static auto& BlockedCount(TransferSimulator& s) { return s.blocked_count_; }
   static void Check(const TransferSimulator& s) { s.CheckConsistency(); }
@@ -589,6 +590,29 @@ TEST_F(EngineAuditTest, IncrementalEngineRunsCleanAndDetectsCorruption) {
   EXPECT_EQ(capture.count(), 0);
 
   db::AuditTestPeer::InBackoff(engine) += 1;
+  db::AuditTestPeer::Check(engine);
+  EXPECT_GT(capture.count(), 0);
+}
+
+TEST_F(EngineAuditTest, IncrementalEngineDetectsALeakedLock) {
+  // A lock left behind by a transaction that is no longer live passes the
+  // table's own audit but not the engine's.
+  model::SystemConfig cfg = SmallConfig();
+  cfg.maxtransize = 1;  // ten one-granule transactions leave granules free
+  db::IncrementalSimulator engine(cfg, workload::WorkloadSpec::Base(cfg),
+                                  /*seed=*/7, {});
+  ASSERT_TRUE(engine.Run().ok());
+  lockmgr::WaitQueueLockTable& table = db::AuditTestPeer::Table(engine);
+  int64_t granule = 0;
+  while (!table.Holders(granule).empty()) ++granule;
+  ASSERT_LT(granule, cfg.ltot);
+  const lockmgr::TxnId dead = ~lockmgr::TxnId{0};
+  ASSERT_EQ(table.Acquire(dead, granule, LockMode::kX),
+            lockmgr::WaitQueueLockTable::AcquireResult::kGranted);
+
+  ScopedFailureCapture capture;
+  table.CheckConsistency();
+  EXPECT_EQ(capture.count(), 0);
   db::AuditTestPeer::Check(engine);
   EXPECT_GT(capture.count(), 0);
 }

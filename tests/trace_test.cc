@@ -124,7 +124,7 @@ TEST(TraceIntegrationTest, SimulatorTraceValidatesAndMatchesMetrics) {
   cfg.tmax = 800.0;
   TraceRecorder trace;
   core::GranularitySimulator::Options options;
-  options.trace = &trace;
+  options.obs.trace = &trace;
   auto result = core::GranularitySimulator::RunOnce(
       cfg, workload::WorkloadSpec::Base(cfg), 42, options);
   ASSERT_TRUE(result.ok());
@@ -164,7 +164,7 @@ TEST(TraceIntegrationTest, TracingDoesNotChangeTheSimulation) {
   auto untraced = core::GranularitySimulator::RunOnce(cfg, spec, 7);
   TraceRecorder trace;
   core::GranularitySimulator::Options options;
-  options.trace = &trace;
+  options.obs.trace = &trace;
   auto traced = core::GranularitySimulator::RunOnce(cfg, spec, 7, options);
   ASSERT_TRUE(untraced.ok() && traced.ok());
   EXPECT_EQ(untraced->totcom, traced->totcom);
@@ -178,7 +178,7 @@ TEST(TraceIntegrationTest, ExplicitEngineTraceValidates) {
   cfg.tmax = 800.0;
   TraceRecorder trace;
   db::ExplicitSimulator::Options options;
-  options.trace = &trace;
+  options.obs.trace = &trace;
   auto result = db::ExplicitSimulator::RunOnce(
       cfg, workload::WorkloadSpec::Base(cfg), 42, options);
   ASSERT_TRUE(result.ok());
@@ -199,7 +199,7 @@ TEST(TraceIntegrationTest, IncrementalEngineRecordsAborts) {
   spec.placement = model::Placement::kWorst;
   TraceRecorder trace;
   db::IncrementalSimulator::Options options;
-  options.trace = &trace;
+  options.obs.trace = &trace;
   auto result = db::IncrementalSimulator::RunOnce(cfg, spec, 3, options);
   ASSERT_TRUE(result.ok());
   const Status verdict = trace.ValidateLifecycles();

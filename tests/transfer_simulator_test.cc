@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 namespace granulock::db {
 namespace {
 
@@ -129,9 +131,11 @@ TEST(TransferSimulatorTest, ZipfSkewIncreasesContention) {
 
 TEST(TransferSimulatorTest, InvalidZipfThetaRejected) {
   TransferSimulator::Options options;
-  options.zipf_theta = 1.0;
-  auto result = TransferSimulator::RunOnce(TransferConfig(), 1, options);
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  for (const double theta : {1.0, std::nan("")}) {
+    options.zipf_theta = theta;
+    auto result = TransferSimulator::RunOnce(TransferConfig(), 1, options);
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(TransferSimulatorTest, WriteCountMatchesCompletions) {
@@ -161,9 +165,11 @@ TEST(TransferSimulatorTest, RejectsTinyDatabases) {
 
 TEST(TransferSimulatorTest, RejectsBadHotFraction) {
   TransferSimulator::Options options;
-  options.hot_fraction = 2.0;
-  auto result = TransferSimulator::RunOnce(TransferConfig(), 1, options);
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  for (const double fraction : {2.0, std::nan("")}) {
+    options.hot_fraction = fraction;
+    auto result = TransferSimulator::RunOnce(TransferConfig(), 1, options);
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(TransferSimulatorTest, RunTwiceFails) {

@@ -45,12 +45,9 @@ class UnorderedIterationRule(Rule):
     # src/storage and src/workload are in scope: granule placement and
     # reference-string generation both feed the engines, so an unordered
     # walk there reorders the simulated access stream itself.
-    # src/util/arena* is in scope because the arena backs engine scratch
-    # state: an unordered walk there would order allocations (and thus
-    # pointer values observable via container growth) nondeterministically.
     # The calendar queue itself is covered by src/sim/*.
     paths = ["src/sim/*", "src/core/*", "src/db/*", "src/obs/*",
-             "src/storage/*", "src/workload/*", "src/util/arena*"]
+             "src/storage/*", "src/workload/*"]
 
     def check(self, rel_path: str, model: FileModel,
               ctx: RuleContext) -> Iterable[Finding]:
@@ -112,8 +109,8 @@ class WallClockRule(Rule):
     )
     paths = ["src/*", "src/*/*", "bench/*", "examples/*"]
     # Only the two sanctioned entropy/clock homes are exempt. The rest of
-    # src/util — notably the arena allocator, which sits on every engine's
-    # hot path — must be as clock-free as the engines themselves.
+    # src/util — which the engines call — must be as clock-free as the
+    # engines themselves.
     exclude_paths = ["src/util/wall_clock*", "src/util/random*"]
 
     def check(self, rel_path: str, model: FileModel,
