@@ -5,6 +5,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
+#include <vector>
+
 #include "core/experiment.h"
 #include "core/granularity_simulator.h"
 #include "core/parallel_runner.h"
@@ -14,6 +17,7 @@
 #include "lockmgr/waits_for.h"
 #include "model/conflict.h"
 #include "model/placement.h"
+#include "sim/busy_union.h"
 #include "sim/machine.h"
 #include "sim/priority_server.h"
 #include "sim/stats.h"
@@ -124,6 +128,32 @@ void BM_PayLockCost(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_PayLockCost)->Arg(1)->Arg(10)->Arg(30);
+
+void BM_LanePreemption(benchmark::State& state) {
+  // One lock job on a lane of range(0) members, each with a long
+  // transaction job in service: the job preempts every member when the
+  // lane turns busy and resumes it when the lane drains. Simulated time
+  // passes, so the members' jobs progress between lock jobs but never
+  // finish. items/sec counts lock jobs.
+  const int64_t npros = state.range(0);
+  sim::Simulator sim;
+  sim::LockLane lane(&sim, "bench");
+  sim::BusyUnionTracker pool_union;
+  std::vector<std::unique_ptr<sim::PriorityServer>> members;
+  for (int64_t n = 0; n < npros; ++n) {
+    members.push_back(std::make_unique<sim::PriorityServer>(&sim, "m", &lane));
+    members.back()->SetBusyUnion(&pool_union);
+    members.back()->Submit(sim::ServiceClass::kTransaction, 1e12, [] {});
+  }
+  int64_t served = 0;
+  for (auto _ : state) {
+    lane.Submit(0.01, [&served] { ++served; });
+    sim.Step();  // the lane job's completion: the soonest event
+  }
+  if (served != state.iterations()) state.SkipWithError("lane job not served");
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_LanePreemption)->Arg(1)->Arg(10)->Arg(30);
 
 void BM_LockTableAcquireRelease(benchmark::State& state) {
   const int64_t locks_per_txn = state.range(0);

@@ -6,6 +6,7 @@
 #include "db/granule_selector.h"
 #include "sim/invariants.h"
 #include "util/logging.h"
+#include "util/wall_clock.h"
 
 namespace granulock::db {
 
@@ -47,8 +48,7 @@ TransferSimulator::TransferSimulator(model::SystemConfig cfg, uint64_t seed,
     : cfg_(std::move(cfg)),
       options_(options),
       rng_(seed),
-      probe_(obs::Hooks{.contention = options_.contention},
-             options_.watchdog) {}
+      probe_(options_.obs, options_.watchdog) {}
 
 TransferSimulator::TransferSimulator(model::SystemConfig cfg, uint64_t seed)
     : TransferSimulator(std::move(cfg), seed, Options{}) {}
@@ -109,7 +109,9 @@ Result<TransferSimulator::Report> TransferSimulator::Run() {
     });
   }
   probe_.ArmWatchdog();
+  const WallTimer wall_timer;
   machine_.sim().RunUntil(cfg_.tmax);
+  probe_.PublishRunProfile(wall_timer.Seconds());
 
   Report report;
   report.metrics = stats_.Collect(machine_, cfg_.tmax);

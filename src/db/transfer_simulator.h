@@ -14,7 +14,7 @@
 #include "core/txn_pool.h"
 #include "lockmgr/lock_table.h"
 #include "model/config.h"
-#include "obs/contention.h"
+#include "obs/hooks.h"
 #include "sim/machine.h"
 #include "storage/record_store.h"
 #include "util/random.h"
@@ -61,10 +61,13 @@ class TransferSimulator {
     /// Zipf skew for account selection (0 = uniform, up to ~0.99 for the
     /// YCSB-style hot-key distribution). Composes with `hot_fraction`.
     double zipf_theta = 0.0;
-    /// Optional contention profiler (not owned; must outlive the run).
-    /// Attaching it never changes simulated results. Only meaningful
-    /// under kConservativeLocking (kNoLocking never blocks).
-    obs::ContentionProfiler* contention = nullptr;
+    /// Optional observability sinks; attaching them never changes
+    /// simulated results. The engine reports no transaction lifecycle, so
+    /// `spans` and `trace` stay empty; the registry gets the post-run
+    /// profile, the sampler its ticks, and the contention profiler (only
+    /// meaningful under kConservativeLocking; kNoLocking never blocks)
+    /// its waits and samples.
+    obs::Hooks obs;
     /// Optional per-cell watchdog; see `core::GranularitySimulator`.
     const fault::CellWatchdog* watchdog = nullptr;
   };
@@ -129,7 +132,7 @@ class TransferSimulator {
   Txn* CreateTransaction(double arrival_time);
   void UpdateQueueStats();
   /// One periodic contention-profiler sample (observer event; only
-  /// scheduled when options_.contention is set).
+  /// scheduled when options_.obs.contention is set).
   void ContentionTick();
   int64_t GranuleOfAccount(int64_t account) const;
 

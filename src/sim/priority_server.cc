@@ -1,5 +1,6 @@
 #include "sim/priority_server.h"
 
+#include <bit>
 #include <utility>
 
 #include "sim/invariants.h"
@@ -12,14 +13,29 @@ LockLane::LockLane(Simulator* sim, std::string name)
   GRANULOCK_CHECK(sim_ != nullptr);
 }
 
+template <typename F>
+int LockLane::ForEachWorkingMember(F f) {
+  int count = 0;
+  for (size_t w = 0; w < working_.size(); ++w) {
+    for (uint64_t bits = working_[w]; bits != 0; bits &= bits - 1) {
+      f(members_[w * 64 + static_cast<size_t>(std::countr_zero(bits))]);
+      ++count;
+    }
+  }
+  return count;
+}
+
 void LockLane::Submit(SimTime service, Completion on_complete) {
   GRANULOCK_CHECK_GE(service, 0.0) << "negative service demand on " << name_;
   ++accepted_;
   queue_.push_back(Job{service, std::move(on_complete)});
   if (queue_.size() > 1) return;  // waits behind the job in service
   // Preemptive-resume: lock work interrupts every member's transaction
-  // work.
-  for (PriorityServer* member : members_) member->EnterLockService();
+  // work. With the lane idle, a working member has a job in service.
+  const int in_service = ForEachWorkingMember(
+      [](PriorityServer* member) { member->SuspendService(); });
+  const int npros = static_cast<int>(members_.size());
+  Transition(npros - in_service, npros);
   BeginService();
 }
 
@@ -37,16 +53,16 @@ void LockLane::FinishCurrent() {
   Completion done = std::move(queue_.front().on_complete);
   queue_.pop_front();
   if (queue_.empty()) {
-    for (PriorityServer* member : members_) member->LeaveLockService();
+    const int resumed = ForEachWorkingMember(
+        [](PriorityServer* member) { member->ResumeService(); });
+    const int npros = static_cast<int>(members_.size());
+    Transition(resumed - npros, -npros);
   } else {
-    // Hand-off: every member goes straight on to the next lock job. Its
-    // busy transitions still land at this instant, as with one server
-    // per node, and the next completion is scheduled before the finished
+    // Hand-off: every member goes straight on to the next lock job. The
+    // union still closes its span at this instant, as with one server per
+    // node, and the next completion is scheduled before the finished
     // job's continuation runs.
-    for (PriorityServer* member : members_) {
-      member->NotifyTransition(/*entering=*/false, ServiceClass::kLock);
-      member->NotifyTransition(/*entering=*/true, ServiceClass::kLock);
-    }
+    Transition(0, 0);
     BeginService();
   }
   if (done) done();
@@ -78,14 +94,26 @@ void LockLane::CheckConsistency() const {
     GRANULOCK_AUDIT_CHECK_GE(job.service, 0.0)
         << "lane " << name_ << " queued job";
   }
+  for (const PriorityServer* member : members_) {
+    GRANULOCK_AUDIT_CHECK_EQ(IsWorking(member->index_),
+                             member->current_.has_value() ||
+                                 !member->queue_.empty())
+        << "lane " << name_ << " mistracks whether server "
+        << member->name() << " has transaction work";
+    // While the lane is busy every member serves it, so a job in service
+    // is suspended; while it is idle, none is, and queued work is served.
+    GRANULOCK_AUDIT_CHECK_EQ(member->suspended_,
+                             busy() && member->current_.has_value())
+        << "server " << member->name() << " in-service job suspended="
+        << member->suspended_ << " while lane " << name_
+        << " busy=" << busy();
+    GRANULOCK_AUDIT_CHECK(busy() || member->current_.has_value() ||
+                          member->queue_.empty())
+        << "server " << member->name() << " idles with queued work";
+  }
   if (!busy()) return;
   GRANULOCK_AUDIT_CHECK_LE(service_start_, sim_->Now())
       << "lane " << name_ << " service started in the future";
-  for (const PriorityServer* member : members_) {
-    GRANULOCK_AUDIT_CHECK(!member->current_.has_value())
-        << "server " << member->name() << " serves transaction work while "
-        << "lane " << name_ << " is busy";
-  }
 }
 
 PriorityServer::PriorityServer(Simulator* sim, std::string name)
@@ -93,7 +121,7 @@ PriorityServer::PriorityServer(Simulator* sim, std::string name)
       name_(std::move(name)),
       own_lane_(std::make_unique<LockLane>(sim, name_)),
       lane_(own_lane_.get()) {
-  lane_->members_.push_back(this);
+  JoinLane();
 }
 
 PriorityServer::PriorityServer(Simulator* sim, std::string name,
@@ -104,7 +132,22 @@ PriorityServer::PriorityServer(Simulator* sim, std::string name,
       << "server " << name_ << " must share its lane's simulator";
   GRANULOCK_CHECK(!lane_->busy()) << "server " << name_
                                   << " cannot join a busy lane";
+  JoinLane();
+}
+
+void PriorityServer::JoinLane() {
+  index_ = lane_->members_.size();
   lane_->members_.push_back(this);
+  lane_->working_.resize((lane_->members_.size() + 63) / 64);
+}
+
+void PriorityServer::SetBusyUnion(BusyUnionTracker* tracker) {
+  GRANULOCK_CHECK(lane_->members_.size() == 1 ||
+                  lane_->busy_union_ == nullptr ||
+                  lane_->busy_union_ == tracker)
+      << "server " << name_ << " must share the busy union of lane "
+      << lane_->name();
+  lane_->busy_union_ = tracker;
 }
 
 void PriorityServer::Submit(ServiceClass cls, SimTime service,
@@ -116,59 +159,67 @@ void PriorityServer::Submit(ServiceClass cls, SimTime service,
   GRANULOCK_CHECK_GE(service, 0.0) << "negative service demand on " << name_;
   ++accepted_;
   queue_.push_back(Job{service, std::move(on_complete)});
+  lane_->SetWorking(index_, true);
   StartNextIfIdle();
 }
 
 void PriorityServer::StartNextIfIdle() {
   if (current_.has_value() || lane_->busy() || queue_.empty()) return;
+  NotifyTransition(+1);
+  StartNext();
+}
+
+void PriorityServer::StartNext() {
   current_ = std::move(queue_.front());
   queue_.pop_front();
-  NotifyTransition(/*entering=*/true, ServiceClass::kTransaction);
   service_start_ = accounted_from_ = sim_->Now();
   completion_event_ =
       sim_->ScheduleAfter(current_->remaining, [this] { FinishCurrent(); });
 }
 
 void PriorityServer::FinishCurrent() {
-  GRANULOCK_CHECK(current_.has_value());
+  GRANULOCK_CHECK(current_.has_value() && !suspended_);
   busy_time_ += sim_->Now() - accounted_from_;
   ++completed_;
   ++finished_;
   GRANULOCK_DCHECK_LE(finished_, accepted_)
       << "server " << name_
       << " finished more transaction jobs than were submitted";
-  NotifyTransition(/*entering=*/false, ServiceClass::kTransaction);
+  NotifyTransition(-1);
   Completion done = std::move(current_->on_complete);
   current_.reset();
   StartNextIfIdle();
+  if (!current_.has_value()) lane_->SetWorking(index_, false);
   if (done) done();
 }
 
-void PriorityServer::EnterLockService() {
-  if (current_.has_value()) {
-    sim_->Cancel(completion_event_);
-    const SimTime served = sim_->Now() - service_start_;
-    busy_time_ += sim_->Now() - accounted_from_;
-    NotifyTransition(/*entering=*/false, ServiceClass::kTransaction);
-    Job job = std::move(*current_);
-    current_.reset();
-    job.remaining -= served;
-    if (job.remaining < 0.0) job.remaining = 0.0;
-    // Resume at the head of the queue so FCFS order is preserved.
-    queue_.push_front(std::move(job));
-  }
-  NotifyTransition(/*entering=*/true, ServiceClass::kLock);
+void PriorityServer::SuspendService() {
+  const SimTime now = sim_->Now();
+  busy_time_ += now - accounted_from_;
+  current_->remaining -= now - service_start_;
+  if (current_->remaining < 0.0) current_->remaining = 0.0;
+  sim_->Suspend(completion_event_);
+  suspended_ = true;
 }
 
-void PriorityServer::LeaveLockService() {
-  NotifyTransition(/*entering=*/false, ServiceClass::kLock);
-  StartNextIfIdle();
+void PriorityServer::ResumeService() {
+  if (!suspended_) {
+    StartNext();
+    return;
+  }
+  suspended_ = false;
+  const SimTime now = sim_->Now();
+  service_start_ = accounted_from_ = now;
+  completion_event_ =
+      sim_->Resume(completion_event_, now + current_->remaining);
 }
 
 double PriorityServer::BusyTime(ServiceClass cls) const {
   if (cls == ServiceClass::kLock) return lane_->BusyTime();
   double t = busy_time_;
-  if (current_.has_value()) t += sim_->Now() - accounted_from_;
+  if (current_.has_value() && !suspended_) {
+    t += sim_->Now() - accounted_from_;
+  }
   return t;
 }
 
@@ -185,13 +236,15 @@ void PriorityServer::ResetStats() {
   completed_ = 0;
   // Drop the already-delivered portion of the in-progress job from the
   // post-reset accounting window. Its service start stays put, so a later
-  // preemption still credits all the service it received.
-  if (current_.has_value()) accounted_from_ = sim_->Now();
+  // preemption still credits all the service it received. A suspended job
+  // has been credited already and restarts its accounting on resume.
+  if (current_.has_value() && !suspended_) accounted_from_ = sim_->Now();
   if (own_lane_ != nullptr) own_lane_->ResetStats();
 }
 
 size_t PriorityServer::QueueLength(ServiceClass cls) const {
-  return cls == ServiceClass::kLock ? lane_->QueueLength() : queue_.size();
+  if (cls == ServiceClass::kLock) return lane_->QueueLength();
+  return queue_.size() + (suspended_ ? 1 : 0);
 }
 
 void PriorityServer::CheckConsistency() const {

@@ -30,10 +30,13 @@ class PriorityServer;
 /// time. The lane serves those jobs once for the whole pool: one FCFS
 /// queue, one busy-time account and one completion event per job.
 ///
-/// * While a job is in service, every member is serving it: a member's
-///   in-service transaction job is preempted (in node order) when the lane
-///   turns busy, keeps its accumulated service, and resumes at the head of
-///   its queue (again in node order) once the lane drains.
+/// * While a job is in service, every member is serving it: when the lane
+///   turns busy, each member with a transaction job in service is credited
+///   the service it received and its completion event is suspended in
+///   place (`Simulator::Suspend`); idle members are not visited. When the
+///   lane drains, members with transaction work are visited in node
+///   order: a suspended job resumes (`Simulator::Resume`) with its
+///   remaining demand, and any other member starts its queued work.
 /// * Lock jobs never preempt each other; a zero-length job completes at
 ///   its submission time.
 ///
@@ -42,9 +45,11 @@ class PriorityServer;
 /// same jobs with the same start and finish times, and their completions
 /// fire at one instant with consecutive sequence numbers. The lane's one
 /// event takes the first of those positions and does the members' work in
-/// the same order, so every other event keeps its (time, seq) order. Each
-/// member's busy-state transitions stay at the instants they had, and
-/// every member reports the lane's lock account.
+/// the same order, so every other event keeps its (time, seq) order. A
+/// suspend and resume draws sequence numbers where a cancel and a fresh
+/// schedule of the preempted job would. Every member reports the lane's
+/// lock account, and the pool's busy union gets one transition per lane
+/// event, at the instant each member's transitions had.
 class LockLane {
  public:
   using Completion = InlineCallback;
@@ -82,8 +87,10 @@ class LockLane {
 
   /// FCFS conservation audit, like `PriorityServer::CheckConsistency`:
   /// every job ever submitted is finished or queued (the head is in
-  /// service while busy), demands and accounting are non-negative, and
-  /// no member serves transaction work while the lane is busy.
+  /// service while busy), demands and accounting are non-negative, every
+  /// member's in-service transaction job is suspended exactly while the
+  /// lane is busy, and the lane tracks which members have transaction
+  /// work.
   void CheckConsistency() const;
 
  private:
@@ -99,9 +106,36 @@ class LockLane {
   void BeginService();
   void FinishCurrent();
 
+  /// Marks member `index` as having transaction work (in service,
+  /// suspended or queued) or not.
+  void SetWorking(size_t index, bool working) {
+    const uint64_t bit = uint64_t{1} << (index % 64);
+    uint64_t& word = working_[index / 64];
+    word = working ? (word | bit) : (word & ~bit);
+  }
+  bool IsWorking(size_t index) const {
+    return (working_[index / 64] >> (index % 64) & 1) != 0;
+  }
+  /// Calls `f(member)` for each member with transaction work, in node
+  /// order; returns how many there were. `f` must not change which
+  /// members are working.
+  template <typename F>
+  int ForEachWorkingMember(F f);
+
+  /// Reports one busy-state change of the pool at `Now()`.
+  void Transition(int delta_any, int delta_lock) {
+    if (busy_union_ != nullptr) {
+      busy_union_->Transition(sim_->Now(), delta_any, delta_lock);
+    }
+  }
+
   Simulator* sim_;
   std::string name_;
   std::vector<PriorityServer*> members_;  // in the order they joined
+  // One bit per member, in join (node) order: set while it has
+  // transaction work, so lane events visit only those members.
+  std::vector<uint64_t> working_;
+  BusyUnionTracker* busy_union_ = nullptr;  // shared by every member
   std::deque<Job> queue_;  // FCFS; the head is in service while busy
   SimTime service_start_ = 0.0;
   double busy_time_ = 0.0;
@@ -116,8 +150,8 @@ class LockLane {
 ///
 /// * Within a class, jobs are served FCFS.
 /// * A kLock arrival preempts an in-service kTransaction job; the preempted
-///   job keeps its accumulated service and resumes (at the head of its
-///   class queue) once no lock work remains.
+///   job keeps its accumulated service and stays in service, suspended,
+///   until no lock work remains, then resumes ahead of its queue.
 /// * Zero-length jobs are legal and complete immediately (same timestamp).
 ///
 /// The lock class is the server's `LockLane`: its own lane of one for a
@@ -165,8 +199,8 @@ class PriorityServer {
   /// lane is reset by the pool's owner.
   void ResetStats();
 
-  /// Instantaneous queue length of class `cls` (excluding the in-service
-  /// job).
+  /// Instantaneous queue length of class `cls`, excluding the in-service
+  /// job; a transaction job suspended by lock work counts as queued.
   size_t QueueLength(ServiceClass cls) const;
 
   /// True iff a job is in service.
@@ -176,8 +210,11 @@ class PriorityServer {
 
   /// Wires busy-state transitions into a `BusyUnionTracker` (not owned;
   /// may be null to unwire) to measure pool-level union busy time. Must
-  /// be set before the first `Submit`.
-  void SetBusyUnion(BusyUnionTracker* tracker) { busy_union_ = tracker; }
+  /// be set before the first `Submit`. A lane reports its busy-state
+  /// changes once for all its members, so the tracker is the lane's:
+  /// wiring one member wires its whole lane, and the members of one lane
+  /// must share one tracker.
+  void SetBusyUnion(BusyUnionTracker* tracker);
 
   /// FCFS queue conservation audit: every transaction job ever submitted
   /// is finished, queued, or in service; the in-service job has
@@ -196,36 +233,41 @@ class PriorityServer {
     Completion on_complete;
   };
 
+  /// Joins `lane_` as its next member.
+  void JoinLane();
+
   /// Transaction job service.
   void StartNextIfIdle();
+  /// Starts the head of the queue (which must not be empty).
+  void StartNext();
   void FinishCurrent();
-  /// The lane began a job while this member was not serving lock work:
-  /// moves an in-service transaction job back to the head of its queue,
-  /// crediting the service it received so far.
-  void EnterLockService();
-  /// The lane drained: resumes transaction work, if any is queued.
-  void LeaveLockService();
-  void NotifyTransition(bool entering, ServiceClass cls) {
-    if (busy_union_ == nullptr) return;
-    const int delta_any = entering ? 1 : -1;
-    const int delta_lock = cls == ServiceClass::kLock ? delta_any : 0;
-    busy_union_->Transition(sim_->Now(), delta_any, delta_lock);
+  /// The lane turned busy while this member had a job in service: credits
+  /// the service it received so far and suspends its completion event.
+  void SuspendService();
+  /// The lane drained while this member had transaction work: resumes
+  /// the suspended job, or starts the head of the queue.
+  void ResumeService();
+  void NotifyTransition(int delta_any) {
+    if (lane_->busy_union_ != nullptr) {
+      lane_->busy_union_->Transition(sim_->Now(), delta_any, 0);
+    }
   }
 
   Simulator* sim_;
   std::string name_;
   std::unique_ptr<LockLane> own_lane_;  // standalone servers only
   LockLane* lane_;
-  // Transaction class. While the lane is busy nothing is in service and a
-  // preempted job waits at the head of the queue.
+  size_t index_ = 0;  // position in the lane, in node order
+  // Transaction class. While the lane is busy, the job in service (if
+  // any) is suspended.
   std::deque<Job> queue_;
   std::optional<Job> current_;
+  bool suspended_ = false;
   SimTime service_start_ = 0.0;
   // Where the in-service job's busy time starts counting: its service
   // start, or the last `ResetStats` if that came later.
   SimTime accounted_from_ = 0.0;
   EventId completion_event_ = 0;
-  BusyUnionTracker* busy_union_ = nullptr;
   double busy_time_ = 0.0;
   uint64_t completed_ = 0;
   // Lifetime conservation counters (never reset; see CheckConsistency).

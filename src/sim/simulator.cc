@@ -28,6 +28,9 @@ uint32_t Simulator::AcquireSlot() {
     slot_cb_.emplace_back();
     slot_gen_.push_back(1);
     slot_flags_.push_back(0);
+    slot_time_.push_back(0.0);
+    slot_due_time_.push_back(0.0);
+    slot_due_seq_.push_back(0);
     return static_cast<uint32_t>(slot_gen_.size() - 1);
   }
   const uint32_t index = free_slots_.back();
@@ -50,26 +53,29 @@ EventId Simulator::Schedule(SimTime at, Callback callback, bool observer) {
   slot_flags_[index] =
       static_cast<uint8_t>(kLiveFlag | (observer ? kObserverFlag : 0));
   const uint64_t ref = MakeEventId(index, slot_gen_[index]);
-  const uint64_t day = DayOf(at);
-  const uint64_t seq = next_seq_++;
+  InsertEntry(CalEntry{at, next_seq_++, ref});
+  ++live_count_;
+  max_pending_ = std::max(max_pending_, live_count_);
+  if (live_count_ > buckets_.size() * 2) Rebuild(buckets_.size() * 2);
+  return ref;
+}
+
+void Simulator::InsertEntry(const CalEntry& entry) {
+  slot_time_[SlotOf(entry.ref)] = entry.time;
+  const uint64_t day = DayOf(entry.time);
   if (day <= bottom_day_ && bottom_day_ != kNoBottomDay) {
     // Imminent event: sorted-insert into the bottom so it pops in pure
     // (time, seq) order ahead of everything in the calendar. The bottom
     // is small (one day's events), so the shift is a short memmove.
-    const CalEntry entry{at, seq, ref};
     bottom_.insert(std::lower_bound(bottom_.begin(), bottom_.end(), entry,
                                     EntryLater{}),
                    entry);
   } else {
     Bucket& bucket = buckets_[day & bucket_mask_];
-    bucket.time.push_back(at);
-    bucket.seq.push_back(seq);
-    bucket.ref.push_back(ref);
+    bucket.time.push_back(entry.time);
+    bucket.seq.push_back(entry.seq);
+    bucket.ref.push_back(entry.ref);
   }
-  ++live_count_;
-  max_pending_ = std::max(max_pending_, live_count_);
-  if (live_count_ > buckets_.size() * 2) Rebuild(buckets_.size() * 2);
-  return ref;
 }
 
 EventId Simulator::ScheduleAt(SimTime at, Callback callback) {
@@ -91,19 +97,57 @@ EventId Simulator::ScheduleObserverAfter(SimTime delay, Callback callback) {
 }
 
 void Simulator::Cancel(EventId id) {
-  const uint32_t index = static_cast<uint32_t>(id & 0xffffffffu);
-  const uint32_t generation = static_cast<uint32_t>(id >> 32);
-  if (index >= slot_gen_.size()) return;  // never scheduled
-  if ((slot_flags_[index] & kLiveFlag) == 0 ||
-      slot_gen_[index] != generation) {
-    return;  // already fired or cancelled (possibly reused since)
-  }
+  // A fired or cancelled id (its slot possibly reused since) is a no-op.
+  if (!IsPending(id)) return;
+  const uint32_t index = SlotOf(id);
+  const bool detached = (slot_flags_[index] & kDetachedFlag) != 0;
   ReleaseSlot(index);
+  if (detached) {
+    --detached_count_;  // its entry is already gone
+    return;
+  }
   // The queue entry referencing the old generation is now stale; it is
   // skipped (and pruned) when next encountered, or swept out by
   // compaction below.
   ++stale_count_;
   MaybeCompact();
+}
+
+void Simulator::Suspend(EventId id) {
+  GRANULOCK_CHECK(IsPending(id) &&
+                  (slot_flags_[SlotOf(id)] & kSuspendedFlag) == 0)
+      << "event " << id << " is not pending, or already suspended";
+  slot_flags_[SlotOf(id)] |= kSuspendedFlag;
+}
+
+EventId Simulator::Resume(EventId id, SimTime at) {
+  GRANULOCK_CHECK_GE(at, now_) << "cannot resume into the past";
+  GRANULOCK_CHECK(IsPending(id) &&
+                  (slot_flags_[SlotOf(id)] & kSuspendedFlag) != 0)
+      << "event " << id << " is not suspended";
+  const uint32_t index = SlotOf(id);
+  uint8_t& flags = slot_flags_[index];
+  if ((flags & kDetachedFlag) == 0 && slot_time_[index] > at) {
+    // The entry would surface too late: cancel it and schedule afresh.
+    Callback callback = std::move(slot_cb_[index]);
+    const bool observer = (flags & kObserverFlag) != 0;
+    Cancel(id);
+    return Schedule(at, std::move(callback), observer);
+  }
+  const uint64_t seq = next_seq_++;
+  if ((flags & kDetachedFlag) != 0) {
+    // Its entry surfaced while suspended: place a new one.
+    flags &= static_cast<uint8_t>(~(kSuspendedFlag | kDetachedFlag));
+    --detached_count_;
+    InsertEntry(CalEntry{at, seq, id});
+    return id;
+  }
+  // The entry lies before the new key (an older seq breaks a time tie):
+  // it stays put and is re-keyed when it surfaces.
+  flags = static_cast<uint8_t>((flags & ~kSuspendedFlag) | kRekeyFlag);
+  slot_due_time_[index] = at;
+  slot_due_seq_[index] = seq;
+  return id;
 }
 
 void Simulator::MaybeCompact() {
@@ -155,7 +199,7 @@ void Simulator::Compact() {
 
 bool Simulator::RefillBottom() {
   GRANULOCK_DCHECK(bottom_.empty());
-  if (live_count_ == 0) return false;
+  if (LiveEntries() == 0) return false;
   // Every pending event is >= now_, so the cursor can skip straight past
   // days the clock has already left behind.
   const uint64_t now_day = DayOf(now_);
@@ -196,7 +240,7 @@ bool Simulator::RefillBottom() {
       sparse_refills_ = 0;
       Rebuild(buckets_.size());
     }
-    if (live_count_ <= kSmallPullAll) {
+    if (LiveEntries() <= kSmallPullAll) {
       // Tiny queue: pull *everything* into the bottom, degrading to a
       // plain sorted-array priority queue — optimal at this size, and
       // subsequent imminent inserts go straight into the bottom instead
@@ -214,7 +258,7 @@ bool Simulator::RefillBottom() {
         bucket.ref.clear();
       }
       GRANULOCK_CHECK(!bottom_.empty())
-          << "live_count=" << live_count_ << " but no live entry found";
+          << "live entries=" << LiveEntries() << " but none found";
       day = max_day;
     } else {
       // Direct search for the minimum day; pull that day and jump the
@@ -230,8 +274,8 @@ bool Simulator::RefillBottom() {
           }
         }
       }
-      GRANULOCK_CHECK(found) << "live_count=" << live_count_
-                             << " but no live entry found";
+      GRANULOCK_CHECK(found) << "live entries=" << LiveEntries()
+                             << " but none found";
       day = best_day;
       Bucket& bucket = buckets_[day & bucket_mask_];
       for (size_t i = 0; i < bucket.time.size();) {
@@ -256,21 +300,39 @@ bool Simulator::RefillBottom() {
 bool Simulator::PrepareMin() {
   for (;;) {
     while (!bottom_.empty()) {
-      if (IsStaleRef(bottom_.back().ref)) {
+      const uint64_t ref = bottom_.back().ref;
+      const uint32_t slot = SlotOf(ref);
+      const uint8_t flags = slot_flags_[slot];
+      if ((flags & kLiveFlag) == 0 ||
+          slot_gen_[slot] != static_cast<uint32_t>(ref >> 32)) {
         bottom_.pop_back();
         --stale_count_;
         continue;
       }
-      return true;
+      if ((flags & kNotDueMask) == 0) return true;
+      SurfaceEarly(slot);
     }
     if (!RefillBottom()) return false;
   }
 }
 
+void Simulator::SurfaceEarly(uint32_t slot) {
+  const uint64_t ref = bottom_.back().ref;
+  bottom_.pop_back();
+  uint8_t& flags = slot_flags_[slot];
+  if ((flags & kSuspendedFlag) != 0) {
+    flags = static_cast<uint8_t>((flags & ~kRekeyFlag) | kDetachedFlag);
+    ++detached_count_;
+    return;
+  }
+  flags &= static_cast<uint8_t>(~kRekeyFlag);
+  InsertEntry(CalEntry{slot_due_time_[slot], slot_due_seq_[slot], ref});
+}
+
 void Simulator::Fire() {
   const CalEntry entry = bottom_.back();
   bottom_.pop_back();
-  const uint32_t slot = static_cast<uint32_t>(entry.ref & 0xffffffffu);
+  const uint32_t slot = SlotOf(entry.ref);
   // Move the callback out before invoking: the callback may schedule new
   // events that reuse this very slot.
   Callback cb = std::move(slot_cb_[slot]);
@@ -354,7 +416,7 @@ double Simulator::ChooseWidth(const std::vector<CalEntry>& entries) const {
 
 void Simulator::Rebuild(size_t new_bucket_count) {
   rebuild_scratch_.clear();
-  rebuild_scratch_.reserve(live_count_);
+  rebuild_scratch_.reserve(LiveEntries());
   for (Bucket& bucket : buckets_) {
     for (size_t i = 0; i < bucket.time.size(); ++i) {
       if (!IsStaleRef(bucket.ref[i])) {
@@ -374,7 +436,7 @@ void Simulator::Rebuild(size_t new_bucket_count) {
   bottom_.clear();
   bottom_day_ = kNoBottomDay;
   stale_count_ = 0;  // stale entries dropped during collection
-  GRANULOCK_DCHECK_EQ(rebuild_scratch_.size(), live_count_);
+  GRANULOCK_DCHECK_EQ(rebuild_scratch_.size(), LiveEntries());
 
   width_ = ChooseWidth(rebuild_scratch_);
   inv_width_ = 1.0 / width_;
@@ -399,6 +461,28 @@ void Simulator::CheckConsistency() const {
   size_t live_entries = 0;
   size_t stale_entries = 0;
   std::vector<uint8_t> seen(slot_gen_.size(), 0);
+  // One live entry per slot, recorded at its slot's entry time and never
+  // after the slot's due key.
+  auto check_live_entry = [&](SimTime time, uint64_t seq, uint32_t slot) {
+    ++live_entries;
+    GRANULOCK_AUDIT_CHECK(!seen[slot])
+        << "slot " << slot << " has two live queue entries";
+    seen[slot] = 1;
+    GRANULOCK_AUDIT_CHECK_EQ(time, slot_time_[slot])
+        << "slot " << slot << " records entry time " << slot_time_[slot];
+    if ((slot_flags_[slot] & kRekeyFlag) != 0) {
+      const SimTime due = slot_due_time_[slot];
+      GRANULOCK_AUDIT_CHECK(time < due ||
+                            (time == due && seq < slot_due_seq_[slot]))
+          << "slot " << slot << " entry (" << time << ", " << seq
+          << ") lies after its due key (" << due << ", "
+          << slot_due_seq_[slot] << ")";
+    }
+    // The live minimum is the next event to fire; anything earlier than
+    // the clock would have fired already (or time would run backwards).
+    GRANULOCK_AUDIT_CHECK_GE(time, now_)
+        << "pending event at " << time << " is before now=" << now_;
+  };
   GRANULOCK_AUDIT_CHECK_EQ(bucket_mask_ + 1, buckets_.size())
       << "bucket mask " << bucket_mask_ << " does not match "
       << buckets_.size() << " buckets";
@@ -410,7 +494,7 @@ void Simulator::CheckConsistency() const {
                           bucket.time.size() == bucket.ref.size())
         << "bucket " << b << " parallel arrays disagree";
     for (size_t i = 0; i < bucket.time.size(); ++i) {
-      const uint32_t slot = static_cast<uint32_t>(bucket.ref[i] & 0xffffffffu);
+      const uint32_t slot = SlotOf(bucket.ref[i]);
       GRANULOCK_AUDIT_CHECK_LT(slot, slot_gen_.size())
           << "calendar entry references slot " << slot << " beyond slab";
       GRANULOCK_AUDIT_CHECK_EQ(DayOf(bucket.time[i]) & bucket_mask_, b)
@@ -420,15 +504,7 @@ void Simulator::CheckConsistency() const {
         ++stale_entries;
         continue;
       }
-      ++live_entries;
-      GRANULOCK_AUDIT_CHECK(!seen[slot])
-          << "slot " << slot << " has two live queue entries";
-      seen[slot] = 1;
-      // The live minimum is the next event to fire; anything earlier than
-      // the clock would have fired already (or time would run backwards).
-      GRANULOCK_AUDIT_CHECK_GE(bucket.time[i], now_)
-          << "pending event at " << bucket.time[i] << " is before now="
-          << now_;
+      check_live_entry(bucket.time[i], bucket.seq[i], slot);
       // The day cursor lower-bounds every live calendar day (refill
       // relies on it to stop at the first in-day hit), and the bottom
       // holds everything at or before `bottom_day_`.
@@ -444,7 +520,7 @@ void Simulator::CheckConsistency() const {
   }
   for (size_t i = 0; i < bottom_.size(); ++i) {
     const CalEntry& entry = bottom_[i];
-    const uint32_t slot = static_cast<uint32_t>(entry.ref & 0xffffffffu);
+    const uint32_t slot = SlotOf(entry.ref);
     GRANULOCK_AUDIT_CHECK_LT(slot, slot_gen_.size())
         << "bottom entry references slot " << slot << " beyond slab";
     GRANULOCK_AUDIT_CHECK(bottom_day_ != kNoBottomDay)
@@ -462,31 +538,39 @@ void Simulator::CheckConsistency() const {
       ++stale_entries;
       continue;
     }
-    ++live_entries;
-    GRANULOCK_AUDIT_CHECK(!seen[slot])
-        << "slot " << slot << " has two live queue entries";
-    seen[slot] = 1;
-    GRANULOCK_AUDIT_CHECK_GE(entry.time, now_)
-        << "pending event at " << entry.time << " is before now=" << now_;
+    check_live_entry(entry.time, entry.seq, slot);
   }
   GRANULOCK_AUDIT_CHECK_EQ(stale_entries, stale_count_)
       << "stale queue entries=" << stale_entries << " but counter says "
       << stale_count_;
-  GRANULOCK_AUDIT_CHECK_EQ(live_entries, live_count_)
-      << "live queue entries=" << live_entries << " but counter says "
-      << live_count_;
-  // Every slot is live (with a callback and a queue entry) or recycled.
+  GRANULOCK_AUDIT_CHECK_EQ(live_entries, LiveEntries())
+      << "live queue entries=" << live_entries << " but counters say "
+      << live_count_ << " live slots, " << detached_count_
+      << " without an entry";
+  // Every slot is live (with a callback, and a queue entry unless it is
+  // suspended and its entry surfaced) or recycled.
   size_t live_slots = 0;
+  size_t detached_slots = 0;
   for (size_t i = 0; i < slot_gen_.size(); ++i) {
-    if (slot_flags_[i] & kLiveFlag) {
-      ++live_slots;
-      GRANULOCK_AUDIT_CHECK(static_cast<bool>(slot_cb_[i]))
-          << "live slot " << i << " has no callback";
+    const uint8_t flags = slot_flags_[i];
+    if ((flags & kLiveFlag) == 0) continue;
+    ++live_slots;
+    GRANULOCK_AUDIT_CHECK(static_cast<bool>(slot_cb_[i]))
+        << "live slot " << i << " has no callback";
+    if ((flags & kDetachedFlag) != 0) {
+      ++detached_slots;
+      GRANULOCK_AUDIT_CHECK((flags & kSuspendedFlag) != 0 && !seen[i])
+          << "slot " << i << " is marked entryless but is not suspended "
+          << "or still has a queue entry";
+      GRANULOCK_AUDIT_CHECK((flags & kRekeyFlag) == 0)
+          << "entryless slot " << i << " awaits a re-key";
+    } else {
       GRANULOCK_AUDIT_CHECK(seen[i])
           << "live slot " << i << " has no queue entry";
     }
   }
   GRANULOCK_AUDIT_CHECK_EQ(live_slots, live_count_);
+  GRANULOCK_AUDIT_CHECK_EQ(detached_slots, detached_count_);
   GRANULOCK_AUDIT_CHECK_EQ(slot_gen_.size(), live_count_ + free_slots_.size())
       << "slots=" << slot_gen_.size() << " live=" << live_count_
       << " free=" << free_slots_.size();

@@ -56,12 +56,21 @@ using EventId = uint64_t;
 ///    or pile up past an absolute floor, so low-churn long runs cannot
 ///    carry tombstones indefinitely — they are swept out in one O(n)
 ///    compaction pass.
+///  * `Suspend`/`Resume` are O(1) too: a suspended event keeps its slot,
+///    callback and calendar entry. Each slot records its entry's time and,
+///    once resumed, its due (time, seq) key; flag bits say whether it may
+///    fire. An entry that surfaces while its slot is suspended is dropped,
+///    and one that surfaces before its due key is re-inserted at that key,
+///    so the event fires exactly where a cancel and a fresh schedule would
+///    have put it. The check rides the flag byte the staleness test
+///    already reads, so an ordinary event pays nothing for it.
 ///
 /// Determinism: pops always yield the exact (time, seq) minimum of the
 /// live set — the calendar layout only changes *where* entries wait, not
 /// the order they fire — so runs are bit-identical to the previous
 /// binary-heap engine (`scheduler_differential_test` proves this against
-/// a reference heap under randomized schedule/cancel streams).
+/// a reference heap under randomized schedule/cancel/suspend/resume
+/// streams).
 ///
 /// Not thread-safe: a `Simulator` and everything scheduled on it must be
 /// driven from one thread. (Running *replications* in parallel is safe —
@@ -94,11 +103,27 @@ class Simulator {
 
   /// Cancels a pending event in O(1). Cancelling an event that already
   /// fired (or was already cancelled) is a no-op: the id's generation no
-  /// longer matches its slot, even if the slot has been reused.
+  /// longer matches its slot, even if the slot has been reused. A
+  /// suspended event can be cancelled like any other.
   void Cancel(EventId id);
 
+  /// Suspends a pending event (`id` must be pending and not suspended):
+  /// it cannot fire until `Resume`, but stays pending, so
+  /// `PendingEvents()` still counts it. Its calendar entry stays where it
+  /// is; if the entry surfaces first, it is dropped without running
+  /// anything, moving the clock or counting as an executed event.
+  void Suspend(EventId id);
+
+  /// Resumes a suspended event to fire at `at` (>= Now()). The sequence
+  /// number is drawn here, so `Suspend(id)` then `Resume(id, at)` fires
+  /// exactly where `Cancel(id)` then `ScheduleAt(at, callback)` would.
+  /// Returns the event's id: `id` itself, unless its calendar entry lies
+  /// after `at`; then that entry is abandoned and a fresh id is returned.
+  EventId Resume(EventId id, SimTime at);
+
   /// Runs the earliest pending event, advancing the clock to its timestamp.
-  /// Returns false if no events remain.
+  /// Returns false if no event can fire (none is pending but suspended
+  /// ones).
   bool Step();
 
   /// Runs events until the next event would fire strictly after `deadline`
@@ -106,10 +131,10 @@ class Simulator {
   /// Events scheduled *at* `deadline` do fire.
   void RunUntil(SimTime deadline);
 
-  /// Runs events until none remain.
+  /// Runs events until none can fire.
   void RunUntilEmpty();
 
-  /// Number of pending (non-cancelled) events.
+  /// Number of pending (non-cancelled) events, suspended ones included.
   size_t PendingEvents() const { return live_count_; }
 
   /// Size of the internal pending-event store (all calendar entries),
@@ -117,7 +142,7 @@ class Simulator {
   /// the engine's actual memory footprint. Diagnostics and the
   /// cancel-churn memory regression tests; bounded by `PendingEvents()`
   /// plus the compaction thresholds.
-  size_t HeapSize() const { return live_count_ + stale_count_; }
+  size_t HeapSize() const { return LiveEntries() + stale_count_; }
 
   /// Total number of simulation events executed so far (diagnostics).
   /// Observer events are counted separately in
@@ -130,11 +155,13 @@ class Simulator {
   size_t MaxPendingEvents() const { return max_pending_; }
 
   /// Full audit of the engine's internal bookkeeping: every live slot has
-  /// a callback and exactly one matching calendar entry, every entry sits
-  /// in the bucket its day maps to and no live entry lies before the
-  /// day cursor or the clock, stale entries are counted exactly, slots
-  /// are either live or on the free list, and the pending count is
-  /// `entries - stale`. O(pending events); violations report through
+  /// a callback and exactly one matching calendar entry (a suspended slot
+  /// may have none, once its entry surfaced), no entry lies after its
+  /// slot's due key, every entry sits in the bucket its day maps to and
+  /// no live entry lies before the day cursor or the clock, stale entries
+  /// are counted exactly, slots are either live or on the free list, and
+  /// the pending count is `entries - stale` plus the entryless suspended
+  /// slots. O(pending events); violations report through
   /// `invariants::Fail`.
   void CheckConsistency() const;
 
@@ -196,6 +223,18 @@ class Simulator {
 
   EventId Schedule(SimTime at, Callback callback, bool observer);
 
+  /// Places `entry` in the bottom (imminent day) or its calendar bucket
+  /// and records its time as its slot's entry time.
+  void InsertEntry(const CalEntry& entry);
+
+  /// Calendar entries of live slots: every live slot but the suspended
+  /// ones whose entry surfaced.
+  size_t LiveEntries() const { return live_count_ - detached_count_; }
+
+  static uint32_t SlotOf(uint64_t ref) {
+    return static_cast<uint32_t>(ref & 0xffffffffu);
+  }
+
   /// Maps a timestamp to its calendar day. Guarded against overflowing
   /// the uint64 cast for absurd time/width ratios.
   uint64_t DayOf(SimTime t) const {
@@ -205,9 +244,14 @@ class Simulator {
   }
 
   bool IsStaleRef(uint64_t ref) const {
-    const uint32_t slot = static_cast<uint32_t>(ref & 0xffffffffu);
+    const uint32_t slot = SlotOf(ref);
     return (slot_flags_[slot] & kLiveFlag) == 0 ||
            slot_gen_[slot] != static_cast<uint32_t>(ref >> 32);
+  }
+
+  /// True iff `id` names a pending (possibly suspended) event.
+  bool IsPending(EventId id) const {
+    return SlotOf(id) < slot_gen_.size() && !IsStaleRef(id);
   }
 
   /// Swap-removes entry `i` from `bucket` (order within a bucket is
@@ -217,16 +261,22 @@ class Simulator {
   /// Drops stale entries from `bucket`, decrementing `stale_count_`.
   void DropStale(Bucket& bucket);
 
-  /// Ensures the bottom holds the live (time, seq) minimum at its back:
-  /// pops stale tail entries, refilling from the calendar when the
-  /// bottom drains. Returns false iff no live events remain.
+  /// Ensures the bottom holds the due (time, seq) minimum at its back:
+  /// pops stale tail entries and surfaces entries that are not due,
+  /// refilling from the calendar when the bottom drains. Returns false iff
+  /// no event can fire.
   bool PrepareMin();
+
+  /// The bottom's back entry belongs to live slot `slot` but is not due:
+  /// pops it, then detaches a suspended slot or re-inserts the entry at
+  /// its slot's due key.
+  void SurfaceEarly(uint32_t slot);
 
   /// Moves the soonest day's entries from the calendar into the (empty)
   /// bottom: scans days forward from the cursor for one lap, then falls
   /// back to a direct global-minimum search (sparse queue). Prunes stale
   /// entries as it goes and advances `current_day_`/`bottom_day_`.
-  /// Returns false iff no live events exist.
+  /// Returns false iff no live slot has an entry.
   bool RefillBottom();
 
   /// Pops the bottom's back entry — the live minimum — advances the
@@ -257,6 +307,15 @@ class Simulator {
 
   static constexpr uint8_t kLiveFlag = 1;
   static constexpr uint8_t kObserverFlag = 2;
+  /// Suspended: the slot cannot fire until `Resume`.
+  static constexpr uint8_t kSuspendedFlag = 4;
+  /// Resumed while its entry lay before the due key: the entry is re-keyed
+  /// to (`slot_due_time_`, `slot_due_seq_`) when it surfaces.
+  static constexpr uint8_t kRekeyFlag = 8;
+  /// Suspended, and its entry surfaced: the slot has no calendar entry.
+  static constexpr uint8_t kDetachedFlag = 16;
+  /// An entry whose slot carries either flag is not due when it surfaces.
+  static constexpr uint8_t kNotDueMask = kSuspendedFlag | kRekeyFlag;
 
   SimTime now_ = 0.0;
   uint64_t next_seq_ = 0;
@@ -265,6 +324,7 @@ class Simulator {
   size_t max_pending_ = 0;
   size_t live_count_ = 0;
   size_t stale_count_ = 0;  // stale (cancelled) entries still in buckets
+  size_t detached_count_ = 0;  // live (suspended) slots without an entry
 
   /// `bottom_day_` value meaning "no bottom region claimed yet".
   static constexpr uint64_t kNoBottomDay = ~uint64_t{0};
@@ -287,7 +347,10 @@ class Simulator {
   // Event slab, structure-of-arrays: parallel by slot index.
   std::vector<Callback> slot_cb_;
   std::vector<uint32_t> slot_gen_;
-  std::vector<uint8_t> slot_flags_;  // kLiveFlag | kObserverFlag
+  std::vector<uint8_t> slot_flags_;  // k*Flag bits
+  std::vector<SimTime> slot_time_;   // time of the slot's calendar entry
+  std::vector<SimTime> slot_due_time_;  // due key under kRekeyFlag
+  std::vector<uint64_t> slot_due_seq_;
   std::vector<uint32_t> free_slots_;
 
   std::vector<CalEntry> rebuild_scratch_;

@@ -52,12 +52,14 @@ Result<std::shared_ptr<const SizeDistribution>> MixedSizeDistribution::Create(
     if (c.dist == nullptr) {
       return Status::InvalidArgument("mixture component is null");
     }
-    if (c.weight < 0.0) {
-      return Status::InvalidArgument("mixture weight is negative");
+    // Negated accepted ranges, so a NaN fails them.
+    if (!(c.weight >= 0.0 && std::isfinite(c.weight))) {
+      return Status::InvalidArgument(
+          "mixture weight must be finite and non-negative");
     }
     total += c.weight;
   }
-  if (std::abs(total - 1.0) > 1e-9) {
+  if (!(std::abs(total - 1.0) <= 1e-9)) {
     return Status::InvalidArgument(
         StrFormat("mixture weights sum to %g, expected 1", total));
   }

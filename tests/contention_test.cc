@@ -409,7 +409,7 @@ TEST(ContentionEngineTest, TransferEngineUnperturbedAndConserved) {
 
   obs::ContentionProfiler prof;
   db::TransferSimulator::Options options;
-  options.contention = &prof;
+  options.obs.contention = &prof;
   auto profiled = db::TransferSimulator::RunOnce(cfg, 7, options);
   ASSERT_TRUE(profiled.ok()) << profiled.status();
 

@@ -37,7 +37,11 @@ struct AuditTestPeer {
   static auto& StaleCount(Simulator& s) { return s.stale_count_; }
   static auto& Now(Simulator& s) { return s.now_; }
   static auto& MaxPending(Simulator& s) { return s.max_pending_; }
+  static auto& DueTime(Simulator& s, EventId id) {
+    return s.slot_due_time_[Simulator::SlotOf(id)];
+  }
   static auto& Accepted(PriorityServer& s) { return s.accepted_; }
+  static auto& Suspended(PriorityServer& s) { return s.suspended_; }
   static auto& LockBusyTime(PriorityServer& s) { return s.lane_->busy_time_; }
   static auto& Queue(PriorityServer& s) { return s.queue_; }
   static auto& Accepted(Machine& m) { return m.io_lane_.accepted_; }
@@ -227,6 +231,47 @@ TEST(SimulatorAuditTest, FiresOnHighWaterMarkBelowPendingCount) {
   EXPECT_GT(capture.count(), 0);
 }
 
+TEST(SimulatorAuditTest, SuspendedEventsPass) {
+  sim::Simulator s;
+  const sim::EventId surfaced = s.ScheduleAt(1.0, [] {});
+  const sim::EventId rekeyed = s.ScheduleAt(2.0, [] {});
+  const sim::EventId waiting = s.ScheduleAt(3.0, [] {});
+  s.ScheduleAt(4.0, [] {});
+  s.Suspend(surfaced);
+  s.Suspend(rekeyed);
+  s.Suspend(waiting);
+  s.Resume(rekeyed, 5.0);  // its entry at 2.0 awaits a re-key
+
+  ScopedFailureCapture capture;
+  s.CheckConsistency();
+  s.RunUntil(2.5);  // surfaced loses its entry; rekeyed moves to 5.0
+  s.CheckConsistency();
+  EXPECT_EQ(s.ExecutedEvents(), 0u);
+  EXPECT_EQ(s.PendingEvents(), 4u);
+  s.Resume(surfaced, 3.0);
+  s.Cancel(waiting);
+  s.RunUntilEmpty();
+  s.CheckConsistency();
+  EXPECT_EQ(s.ExecutedEvents(), 3u);
+  EXPECT_EQ(capture.count(), 0);
+}
+
+TEST(SimulatorAuditTest, FiresOnSuspendedSlotDueBeforeItsEntry) {
+  sim::Simulator s;
+  const sim::EventId id = s.ScheduleAt(2.0, [] {});
+  s.Suspend(id);
+  ASSERT_EQ(s.Resume(id, 4.0), id);  // re-keyed: entry 2.0, due 4.0
+  s.Suspend(id);
+
+  ScopedFailureCapture capture;
+  s.CheckConsistency();
+  EXPECT_EQ(capture.count(), 0);
+  // A due key before the entry: the entry would surface too late.
+  sim::AuditTestPeer::DueTime(s, id) = 1.0;
+  s.CheckConsistency();
+  EXPECT_GT(capture.count(), 0);
+}
+
 // ---------------------------------------------------------------------------
 // PriorityServer (FCFS queue conservation).
 
@@ -303,6 +348,22 @@ TEST(MachineAuditTest, FiresOnPoolUnionDrift) {
 
   // The disk union counts a busy member that no server accounts for.
   sim::AuditTestPeer::IoUnion(machine).Transition(machine.Now(), 1, 0);
+  machine.CheckConsistency();
+  EXPECT_GT(capture.count(), 0);
+}
+
+TEST(MachineAuditTest, FiresOnUnsuspendedWorkInABusyLane) {
+  sim::Machine machine;
+  machine.Build(3);
+  machine.io(1).Submit(sim::ServiceClass::kTransaction, 2.0, [] {});
+  machine.PayLockCost(1.0, 0.5, [] {});
+  ScopedFailureCapture capture;
+  machine.sim().RunUntil(0.5);  // the I/O lane suspends disk 1's job
+  machine.CheckConsistency();
+  EXPECT_EQ(capture.count(), 0);
+
+  // Disk 1 serves its transaction job while its lane is busy.
+  sim::AuditTestPeer::Suspended(machine.io(1)) = false;
   machine.CheckConsistency();
   EXPECT_GT(capture.count(), 0);
 }

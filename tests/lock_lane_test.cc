@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -79,6 +81,7 @@ class PooledLane {
     lane_.ResetStats();
     union_.ResetWindow(now);
   }
+  bool lane_busy() const { return lane_.busy(); }
   PriorityServer& node(size_t n) { return *servers_[n]; }
   const PriorityServer& node(size_t n) const { return *servers_[n]; }
   const BusyUnionTracker& busy_union() const { return union_; }
@@ -87,6 +90,161 @@ class PooledLane {
   LockLane lane_;
   BusyUnionTracker union_;
   Members servers_;
+};
+
+/// The pool as it preempted before members were suspended in place, kept
+/// as a reference for the lane: when the lane turns busy, every member
+/// cancels its in-service job's completion event and pushes the job back
+/// on the head of its queue, crediting the service it received; when the
+/// lane drains, every member starts the head of its queue with a fresh
+/// `ScheduleAfter`. Each member reports its own union transitions.
+class EagerPool {
+ public:
+  class Member {
+   public:
+    Member(Simulator* sim, EagerPool* pool) : sim_(sim), pool_(pool) {}
+
+    void Submit(ServiceClass cls, SimTime service,
+                std::function<void()> on_complete) {
+      ASSERT_EQ(cls, ServiceClass::kTransaction);
+      queue_.push_back(Job{service, std::move(on_complete)});
+      StartNextIfIdle();
+    }
+    double BusyTime(ServiceClass cls) const {
+      if (cls == ServiceClass::kLock) return pool_->LockBusyTime();
+      double t = busy_time_;
+      if (current_.has_value()) t += sim_->Now() - accounted_from_;
+      return t;
+    }
+    size_t QueueLength(ServiceClass cls) const {
+      return cls == ServiceClass::kLock ? pool_->LockQueueLength()
+                                        : queue_.size();
+    }
+
+   private:
+    friend class EagerPool;
+    struct Job {
+      SimTime remaining;
+      std::function<void()> on_complete;
+    };
+
+    void StartNextIfIdle() {
+      if (current_.has_value() || pool_->busy() || queue_.empty()) return;
+      current_ = std::move(queue_.front());
+      queue_.pop_front();
+      pool_->Notify(+1, 0);
+      service_start_ = accounted_from_ = sim_->Now();
+      completion_ = sim_->ScheduleAfter(current_->remaining,
+                                        [this] { FinishCurrent(); });
+    }
+    void FinishCurrent() {
+      busy_time_ += sim_->Now() - accounted_from_;
+      pool_->Notify(-1, 0);
+      std::function<void()> done = std::move(current_->on_complete);
+      current_.reset();
+      StartNextIfIdle();
+      if (done) done();
+    }
+    void EnterLockService() {
+      if (current_.has_value()) {
+        ++pool_->preemptions_;
+        sim_->Cancel(completion_);
+        const SimTime served = sim_->Now() - service_start_;
+        busy_time_ += sim_->Now() - accounted_from_;
+        pool_->Notify(-1, 0);
+        Job job = std::move(*current_);
+        current_.reset();
+        job.remaining -= served;
+        if (job.remaining < 0.0) job.remaining = 0.0;
+        queue_.push_front(std::move(job));
+      }
+      pool_->Notify(+1, +1);
+    }
+    void LeaveLockService() {
+      pool_->Notify(-1, -1);
+      StartNextIfIdle();
+    }
+    void ResetStats() {
+      busy_time_ = 0.0;
+      if (current_.has_value()) accounted_from_ = sim_->Now();
+    }
+
+    Simulator* sim_;
+    EagerPool* pool_;
+    std::deque<Job> queue_;
+    std::optional<Job> current_;
+    SimTime service_start_ = 0.0;
+    SimTime accounted_from_ = 0.0;
+    EventId completion_ = 0;
+    double busy_time_ = 0.0;
+  };
+
+  EagerPool(Simulator* sim, int npros) : sim_(sim) {
+    for (int n = 0; n < npros; ++n) {
+      members_.push_back(std::make_unique<Member>(sim, this));
+    }
+  }
+
+  void SubmitLock(SimTime service, std::function<void()> then) {
+    jobs_.push_back(LockJob{service, std::move(then)});
+    if (jobs_.size() > 1) return;
+    for (auto& member : members_) member->EnterLockService();
+    BeginService();
+  }
+  void ResetStats(SimTime now) {
+    for (auto& member : members_) member->ResetStats();
+    busy_time_ = 0.0;
+    if (busy()) service_start_ = sim_->Now();
+    union_.ResetWindow(now);
+  }
+  bool lane_busy() const { return busy(); }
+  Member& node(size_t n) { return *members_[n]; }
+  const Member& node(size_t n) const { return *members_[n]; }
+  const BusyUnionTracker& busy_union() const { return union_; }
+  /// Transaction jobs preempted so far.
+  int64_t preemptions() const { return preemptions_; }
+
+ private:
+  struct LockJob {
+    SimTime service;
+    std::function<void()> on_complete;
+  };
+
+  bool busy() const { return !jobs_.empty(); }
+  double LockBusyTime() const {
+    return busy_time_ + (busy() ? sim_->Now() - service_start_ : 0.0);
+  }
+  size_t LockQueueLength() const { return jobs_.size() - (busy() ? 1 : 0); }
+  void Notify(int delta_any, int delta_lock) {
+    union_.Transition(sim_->Now(), delta_any, delta_lock);
+  }
+  void BeginService() {
+    service_start_ = sim_->Now();
+    sim_->ScheduleAfter(jobs_.front().service, [this] { FinishCurrent(); });
+  }
+  void FinishCurrent() {
+    busy_time_ += sim_->Now() - service_start_;
+    std::function<void()> done = std::move(jobs_.front().on_complete);
+    jobs_.pop_front();
+    if (jobs_.empty()) {
+      for (auto& member : members_) member->LeaveLockService();
+    } else {
+      for (size_t n = 0; n < members_.size(); ++n) {
+        Notify(-1, -1);
+        Notify(+1, +1);
+      }
+      BeginService();
+    }
+    if (done) done();
+  }
+
+  Simulator* sim_;
+  std::vector<std::unique_ptr<Member>> members_;
+  std::deque<LockJob> jobs_;
+  SimTime service_start_ = 0.0;
+  double busy_time_ = 0.0;
+  BusyUnionTracker union_;
+  int64_t preemptions_ = 0;
 };
 
 /// What a stream observably produced.
@@ -205,6 +363,153 @@ TEST(LockLaneTest, PoolMatchesPerNodeServers) {
   }
 }
 
+// --- The lane equals its eager predecessor ---------------------------------
+
+/// A seeded stream that preempts every transaction job many times, on a
+/// machine-like pair of pools of `npros` nodes: two long transaction jobs
+/// (16 to 160 ticks) per node to start, and lock requests (a disk lock
+/// job on every node, then a CPU one) arriving every 1 to 4 ticks while
+/// transaction work remains, far more often than jobs complete. Every time
+/// is a whole number of ticks: with a tick of 1/4 events tie exactly, and
+/// with 1/10 the busy-time sums also round, so merging or splitting a
+/// union span would show. Each request probes every node's per-class busy
+/// times and queue lengths and both unions at the instant its lane job
+/// was submitted and half a tick later, inside the busy period; the
+/// warm-up reset waits for the disk lane to be busy.
+template <typename Pool>
+class PreemptionStream {
+ public:
+  PreemptionStream(uint64_t seed, int npros, double tick)
+      : io_(&sim_, npros),
+        cpu_(&sim_, npros),
+        rng_(seed),
+        npros_(npros),
+        tick_(tick) {}
+
+  Outcome Run() {
+    for (Pool* pool : {&io_, &cpu_}) {
+      for (int n = 0; n < npros_; ++n) {
+        for (int k = 0; k < 2; ++k) SubmitTxn(*pool, static_cast<size_t>(n));
+      }
+    }
+    sim_.ScheduleAt(tick_, [this] { LockArrival(); });
+    sim_.ScheduleAt(10.0, [this] { ResetInsideBusyPeriod(); });
+    sim_.RunUntilEmpty();
+    Probe();
+    out_.events = sim_.ExecutedEvents();
+    return out_;
+  }
+  const Pool& io() const { return io_; }
+  const Pool& cpu() const { return cpu_; }
+  int64_t txn_jobs() const { return txn_jobs_; }
+
+ private:
+  double Ticks(int min, int max) {
+    return tick_ * static_cast<double>(rng_.UniformInt(min, max));
+  }
+  int NewJob() {
+    out_.done.push_back(-1.0);
+    return static_cast<int>(out_.done.size()) - 1;
+  }
+  void Done(int id) {
+    out_.order.push_back(id);
+    out_.done[static_cast<size_t>(id)] = sim_.Now();
+  }
+
+  void LockArrival() {
+    if (outstanding_ == 0) return;
+    SubmitLock();
+    sim_.ScheduleAfter(Ticks(1, 4), [this] { LockArrival(); });
+  }
+  void SubmitLock() {
+    const int id = NewJob();
+    out_.lock_jobs += 2;
+    io_.SubmitLock(Ticks(1, 2), [this, id] {
+      cpu_.SubmitLock(Ticks(1, 2), [this, id] {
+        Done(id);
+        if (txn_jobs_ < 200 && rng_.Bernoulli(0.1)) {
+          Pool& pool = rng_.Bernoulli(0.5) ? io_ : cpu_;
+          SubmitTxn(pool, static_cast<size_t>(rng_.UniformInt(0, npros_ - 1)));
+        }
+      });
+      ProbeNowAndSoon();
+    });
+    ProbeNowAndSoon();
+  }
+  void SubmitTxn(Pool& pool, size_t node) {
+    const int id = NewJob();
+    ++txn_jobs_;
+    ++outstanding_;
+    pool.node(node).Submit(ServiceClass::kTransaction, Ticks(16, 160),
+                           [this, id] {
+                             Done(id);
+                             --outstanding_;
+                           });
+  }
+  void ResetInsideBusyPeriod() {
+    if (!io_.lane_busy() && outstanding_ > 0) {
+      sim_.ScheduleAfter(tick_, [this] { ResetInsideBusyPeriod(); });
+      return;
+    }
+    io_.ResetStats(sim_.Now());
+    cpu_.ResetStats(sim_.Now());
+    Probe();
+  }
+  void ProbeNowAndSoon() {
+    Probe();
+    sim_.ScheduleAfter(tick_ / 2, [this] { Probe(); });
+  }
+  void Probe() {
+    for (const Pool* pool : {&io_, &cpu_}) {
+      for (int n = 0; n < npros_; ++n) {
+        const auto& server = pool->node(static_cast<size_t>(n));
+        for (ServiceClass cls :
+             {ServiceClass::kLock, ServiceClass::kTransaction}) {
+          out_.probes.push_back(server.BusyTime(cls));
+          out_.probes.push_back(static_cast<double>(server.QueueLength(cls)));
+        }
+      }
+      out_.probes.push_back(pool->busy_union().AnyBusyTime(sim_.Now()));
+      out_.probes.push_back(pool->busy_union().LockBusyTime(sim_.Now()));
+    }
+  }
+
+  Simulator sim_;
+  Pool io_;
+  Pool cpu_;
+  Rng rng_;
+  const int npros_;
+  const double tick_;
+  int64_t txn_jobs_ = 0;
+  int64_t outstanding_ = 0;
+  Outcome out_;
+};
+
+TEST(LockLaneTest, MatchesEagerPreemptionBitForBit) {
+  for (double tick : {0.25, 0.1}) {
+    for (int npros : {1, 3, 30}) {
+      for (uint64_t seed = 1; seed <= 3; ++seed) {
+        SCOPED_TRACE(testing::Message() << "tick=" << tick << " npros="
+                                        << npros << " seed=" << seed);
+        PreemptionStream<EagerPool> eager_stream(seed, npros, tick);
+        const Outcome eager = eager_stream.Run();
+        const Outcome lane =
+            PreemptionStream<PooledLane>(seed, npros, tick).Run();
+        EXPECT_EQ(eager.order, lane.order);
+        EXPECT_EQ(eager.done, lane.done);
+        EXPECT_EQ(eager.probes, lane.probes);
+        EXPECT_EQ(eager.events, lane.events);
+        EXPECT_EQ(eager.lock_jobs, lane.lock_jobs);
+        // The stream does what it is for: every transaction job is
+        // preempted many times over.
+        const int64_t preemptions = eager_stream.io().preemptions() +
+                                    eager_stream.cpu().preemptions();
+        EXPECT_GT(preemptions, 5 * eager_stream.txn_jobs());
+      }
+    }
+  }
+}
+
 // --- Lane semantics ----------------------------------------------------------
 
 TEST(LockLaneTest, JobPreemptsAndResumesEveryMember) {
@@ -222,7 +527,8 @@ TEST(LockLaneTest, JobPreemptsAndResumesEveryMember) {
   double lock_done = -1.0;
   sim.ScheduleAt(1.0, [&] {
     lane.Submit(2.0, [&] { lock_done = sim.Now(); });
-    // Every member's transaction job went back to the head of its queue.
+    // Every member's transaction job is suspended in service; it counts
+    // as queued until the lane drains.
     for (const auto& member : members) {
       EXPECT_TRUE(member->busy());
       EXPECT_EQ(member->QueueLength(ServiceClass::kTransaction), 1u);

@@ -14,6 +14,8 @@
 #include "core/granularity_simulator.h"
 #include "db/explicit_simulator.h"
 #include "db/incremental_simulator.h"
+#include "db/transfer_simulator.h"
+#include "obs/contention.h"
 #include "obs/json_writer.h"
 #include "obs/registry.h"
 #include "obs/span_trace.h"
@@ -158,6 +160,31 @@ TEST(ObservabilityIdentityTest, IncrementalEngine) {
 
   ExpectBitIdentical(*plain, *observed);
   EXPECT_GT(spans.spans().size(), 0u);
+}
+
+TEST(ObservabilityIdentityTest, TransferEngine) {
+  model::SystemConfig cfg = TestConfig();
+  cfg.dbsize = 200;  // accounts
+  cfg.ltot = 20;
+
+  auto plain = db::TransferSimulator::RunOnce(cfg, 7);
+  ASSERT_TRUE(plain.ok()) << plain.status();
+
+  obs::MetricsRegistry registry;
+  obs::SpanRecorder spans;
+  obs::TimeSeriesSampler sampler(25.0);
+  obs::ContentionProfiler contention;
+  db::TransferSimulator::Options options;
+  options.obs = {&registry, &spans, &sampler, &contention};
+  auto observed = db::TransferSimulator::RunOnce(cfg, 7, options);
+  ASSERT_TRUE(observed.ok()) << observed.status();
+
+  ExpectBitIdentical(plain->metrics, observed->metrics);
+  EXPECT_EQ(plain->final_total, observed->final_total);
+  EXPECT_EQ(registry.GetGauge("sim.events_executed")->value(),
+            static_cast<double>(observed->metrics.events_executed));
+  EXPECT_GT(sampler.pushed(), 0u);
+  EXPECT_GT(contention.total_grants(), 0);
 }
 
 // --------------------------------------------------------------------

@@ -45,6 +45,22 @@ class ReferenceQueue {
 
   // Extracts the live minimum by (time, seq).
   int Pop() {
+    const size_t best = MinIndex();
+    const int label = entries_[best].label;
+    entries_[best] = entries_.back();
+    entries_.pop_back();
+    return label;
+  }
+
+  // The least (time, seq) entry; the queue must not be empty.
+  const RefEntry& Min() const { return entries_[MinIndex()]; }
+
+  bool empty() const { return entries_.empty(); }
+  size_t size() const { return entries_.size(); }
+  const RefEntry& at(size_t i) const { return entries_[i]; }
+
+ private:
+  size_t MinIndex() const {
     size_t best = 0;
     for (size_t i = 1; i < entries_.size(); ++i) {
       if (entries_[i].time < entries_[best].time ||
@@ -53,17 +69,9 @@ class ReferenceQueue {
         best = i;
       }
     }
-    const int label = entries_[best].label;
-    entries_[best] = entries_.back();
-    entries_.pop_back();
-    return label;
+    return best;
   }
 
-  bool empty() const { return entries_.empty(); }
-  size_t size() const { return entries_.size(); }
-  const RefEntry& at(size_t i) const { return entries_[i]; }
-
- private:
   std::vector<RefEntry> entries_;
   uint64_t next_seq_ = 0;
 };
@@ -122,6 +130,220 @@ void RunDifferential(uint64_t seed, int ops) {
   }
   EXPECT_TRUE(ref.empty());
   EXPECT_EQ(sim_order, ref_order) << "seed " << seed;
+}
+
+// Suspend/Resume against the reference, which models them as Cancel and
+// then Schedule: a resume draws the next sequence number, so the resumed
+// event must pop exactly where a fresh schedule would. Each label's id is
+// refreshed on resume (a resume before the old entry returns a new id).
+// Pops, their times and the executed-event count must all match.
+class SuspendHarness {
+ public:
+  enum class State { kPending, kSuspended, kGone };
+
+  int Schedule(double t) {
+    const int label = static_cast<int>(labels_.size());
+    labels_.push_back(Label{sim_.ScheduleAt(t, Fired(label)), t,
+                            State::kPending});
+    ref_.Schedule(t, label);
+    return label;
+  }
+  void Suspend(int label) {
+    Label& l = labels_[static_cast<size_t>(label)];
+    ASSERT_EQ(l.state, State::kPending);
+    sim_.Suspend(l.id);
+    ref_.Cancel(label);
+    l.state = State::kSuspended;
+  }
+  // Returns whether the simulator kept the label's id.
+  bool Resume(int label, double t) {
+    Label& l = labels_[static_cast<size_t>(label)];
+    EXPECT_EQ(l.state, State::kSuspended);
+    const EventId old = l.id;
+    l.id = sim_.Resume(l.id, t);
+    l.time = t;
+    l.state = State::kPending;
+    ref_.Schedule(t, label);
+    return l.id == old;
+  }
+  void Cancel(int label) {
+    Label& l = labels_[static_cast<size_t>(label)];
+    sim_.Cancel(l.id);
+    ref_.Cancel(label);
+    l.state = State::kGone;
+  }
+  // One pop on each side; false once both are empty.
+  bool Step() {
+    const bool stepped = sim_.Step();
+    EXPECT_EQ(stepped, !ref_.empty());
+    if (!stepped) return false;
+    const double t = ref_.Min().time;
+    const int label = ref_.Pop();
+    ref_pops_.emplace_back(label, t);
+    labels_[static_cast<size_t>(label)].state = State::kGone;
+    return true;
+  }
+  void RunUntil(double deadline) {
+    sim_.RunUntil(deadline);
+    while (!ref_.empty() && ref_.Min().time <= deadline) {
+      const double t = ref_.Min().time;
+      const int label = ref_.Pop();
+      ref_pops_.emplace_back(label, t);
+      labels_[static_cast<size_t>(label)].state = State::kGone;
+    }
+    EXPECT_EQ(sim_.Now(), deadline);
+  }
+  void Drain() {
+    while (Step()) {
+    }
+  }
+  // Pops, pop times, executed events and the pending count agree.
+  void ExpectSame(const char* where) {
+    ASSERT_EQ(sim_pops_, ref_pops_) << where;
+    ASSERT_EQ(sim_.ExecutedEvents(), ref_pops_.size()) << where;
+    size_t suspended = 0;
+    for (const Label& l : labels_) suspended += l.state == State::kSuspended;
+    ASSERT_EQ(sim_.PendingEvents(), ref_.size() + suspended) << where;
+    sim_.CheckConsistency();
+  }
+
+  Simulator& sim() { return sim_; }
+  std::vector<int> Labels(State state) const {
+    std::vector<int> out;
+    for (size_t i = 0; i < labels_.size(); ++i) {
+      if (labels_[i].state == state) out.push_back(static_cast<int>(i));
+    }
+    return out;
+  }
+  double TimeOf(int label) const {
+    return labels_[static_cast<size_t>(label)].time;
+  }
+  size_t pops() const { return sim_pops_.size(); }
+
+ private:
+  struct Label {
+    EventId id;
+    double time;  // where it was last scheduled or resumed
+    State state;
+  };
+  Simulator::Callback Fired(int label) {
+    return [this, label] { sim_pops_.emplace_back(label, sim_.Now()); };
+  }
+
+  Simulator sim_;
+  ReferenceQueue ref_;
+  std::vector<Label> labels_;
+  std::vector<std::pair<int, double>> sim_pops_;
+  std::vector<std::pair<int, double>> ref_pops_;
+};
+
+TEST(SchedulerDifferentialTest, SuspendResumeMatchesCancelThenSchedule) {
+  using State = SuspendHarness::State;
+  for (uint64_t seed : {3u, 11u, 2024u, 65537u}) {
+    SCOPED_TRACE(seed);
+    SuspendHarness h;
+    Rng rng(seed);
+    auto pick = [&rng](const std::vector<int>& from) {
+      return from[static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(from.size()) - 1))];
+    };
+    // Quarter-unit times, so ties between fresh and resumed keys abound.
+    auto quarters = [&rng](int max) {
+      return 0.25 * static_cast<double>(rng.UniformInt(0, max));
+    };
+    int resumed_early = 0;
+    for (int op = 0; op < 20000; ++op) {
+      const int64_t kind = rng.UniformInt(0, 99);
+      const std::vector<int> pending = h.Labels(State::kPending);
+      const std::vector<int> suspended = h.Labels(State::kSuspended);
+      const double now = h.sim().Now();
+      if (kind < 35 || pending.empty()) {
+        h.Schedule(now + quarters(rng.Bernoulli(0.1) ? 4000 : 40));
+      } else if (kind < 55) {
+        h.Suspend(pick(pending));
+      } else if (kind < 75 && !suspended.empty()) {
+        // Same instant, before the old entry (the fresh-id path), or
+        // anywhere ahead.
+        const int label = pick(suspended);
+        const int64_t where = rng.UniformInt(0, 3);
+        double t = now + quarters(40);
+        if (where == 0) t = now;
+        if (where == 1 && h.TimeOf(label) > now) {
+          t = now + (h.TimeOf(label) - now) * 0.5;
+        }
+        if (!h.Resume(label, t)) ++resumed_early;
+      } else if (kind < 80) {
+        h.Cancel(pick(rng.Bernoulli(0.5) && !suspended.empty() ? suspended
+                                                                : pending));
+      } else if (kind < 83) {
+        h.RunUntil(now + quarters(8));
+      } else {
+        h.Step();
+      }
+      if (op % 1000 == 0) h.ExpectSame("mid-stream");
+    }
+    h.ExpectSame("end of stream");
+    EXPECT_GT(resumed_early, 0);
+    // Resume what is still suspended, then drain both.
+    for (int label : h.Labels(State::kSuspended)) {
+      h.Resume(label, h.sim().Now() + quarters(8));
+    }
+    h.Drain();
+    h.ExpectSame("drained");
+    EXPECT_EQ(h.sim().PendingEvents(), 0u);
+  }
+}
+
+// The cases the random stream only reaches by chance, one by one.
+TEST(SchedulerDifferentialTest, SuspendResumeEdgeCases) {
+  SuspendHarness h;
+  // Far-future filler keeps a populated calendar behind the bottom rung.
+  for (int i = 0; i < 40; ++i) h.Schedule(100.0 + i);
+  h.Schedule(1.0);
+  const int same = h.Schedule(1.0);
+  h.Schedule(1.0);
+  // Resume at the same instant: `same` now fires after both neighbours.
+  h.Suspend(same);
+  EXPECT_TRUE(h.Resume(same, 1.0));
+  // Resume earlier than the old entry: a fresh id.
+  const int early = h.Schedule(50.0);
+  h.Suspend(early);
+  EXPECT_FALSE(h.Resume(early, 2.0));
+  // Suspend and resume twice before the entry surfaces.
+  const int twice = h.Schedule(3.0);
+  h.Suspend(twice);
+  EXPECT_TRUE(h.Resume(twice, 4.0));
+  h.Suspend(twice);
+  EXPECT_TRUE(h.Resume(twice, 5.0));
+  // Surfaces while suspended: one in the bottom rung, one in a bucket.
+  const int in_bottom = h.Schedule(1.5);
+  const int in_bucket = h.Schedule(60.0);
+  h.Step();  // the first pop pulls the imminent day into the bottom
+  h.Suspend(in_bottom);
+  h.Suspend(in_bucket);
+  // Cancel of a suspended event, before and after its entry surfaced.
+  const int cancel_early = h.Schedule(6.0);
+  const int cancel_late = h.Schedule(1.25);
+  h.Suspend(cancel_early);
+  h.Suspend(cancel_late);
+  h.Cancel(cancel_early);
+  h.ExpectSame("set up");
+  h.RunUntil(80.0);  // both suspended entries and cancel_late surface
+  h.ExpectSame("entries surfaced while suspended");
+  h.Cancel(cancel_late);
+  EXPECT_TRUE(h.Resume(in_bottom, 80.0));
+  EXPECT_TRUE(h.Resume(in_bucket, 80.0));
+  // A RunUntil deadline between an early entry and its due key: the
+  // entry surfaces and is re-keyed without firing or moving the clock.
+  const int rekeyed = h.Schedule(82.0);
+  h.Suspend(rekeyed);
+  EXPECT_TRUE(h.Resume(rekeyed, 90.0));
+  const uint64_t executed = h.sim().ExecutedEvents();
+  h.RunUntil(85.0);
+  EXPECT_EQ(h.sim().ExecutedEvents(), executed + 2);  // the two resumed
+  h.ExpectSame("deadline between entry and due key");
+  h.Drain();
+  h.ExpectSame("drained");
 }
 
 TEST(SchedulerDifferentialTest, MatchesReferenceOrderUnderChurn) {

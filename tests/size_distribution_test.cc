@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <memory>
+
 namespace granulock::workload {
 namespace {
 
@@ -53,6 +56,23 @@ TEST(MixedSizeTest, CreateValidation) {
   EXPECT_FALSE(MixedSizeDistribution::Create({{1.0, nullptr}}).ok());
   EXPECT_TRUE(
       MixedSizeDistribution::Create({{0.8, small}, {0.2, large}}).ok());
+}
+
+TEST(MixedSizeTest, CreateRejectsNonFiniteWeights) {
+  auto small = std::make_shared<UniformSizeDistribution>(10);
+  auto large = std::make_shared<UniformSizeDistribution>(100);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  // A NaN passes every comparison, so each check must reject it.
+  EXPECT_FALSE(
+      MixedSizeDistribution::Create({{nan, small}, {1.0, large}}).ok());
+  EXPECT_FALSE(
+      MixedSizeDistribution::Create({{1.0, small}, {nan, large}}).ok());
+  EXPECT_FALSE(MixedSizeDistribution::Create({{nan, small}}).ok());
+  EXPECT_FALSE(
+      MixedSizeDistribution::Create({{inf, small}, {1.0, large}}).ok());
+  EXPECT_FALSE(
+      MixedSizeDistribution::Create({{inf, small}, {-inf, large}}).ok());
 }
 
 TEST(MixedSizeTest, PaperMixMeanAndMax) {
