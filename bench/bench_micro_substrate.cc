@@ -1,14 +1,19 @@
 // google-benchmark microbenchmarks for the simulation substrate: the
-// event engine, the preemptive-priority server, the machine's lock lanes,
-// the lock managers, and the analytic model pieces. These quantify the cost of the building blocks
-// that the figure benches exercise millions of times.
+// event engine, the preemptive-priority server, the machine's lock lanes
+// and fork-join stages, the lock managers, and the analytic model
+// pieces. These quantify the cost of the building blocks that the figure
+// benches exercise millions of times.
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
+#include "core/engine_probe.h"
 #include "core/experiment.h"
+#include "core/fork_join.h"
 #include "core/granularity_simulator.h"
 #include "core/parallel_runner.h"
 #include "db/granule_selector.h"
@@ -17,6 +22,7 @@
 #include "lockmgr/waits_for.h"
 #include "model/conflict.h"
 #include "model/placement.h"
+#include "obs/hooks.h"
 #include "sim/busy_union.h"
 #include "sim/machine.h"
 #include "sim/priority_server.h"
@@ -154,6 +160,57 @@ void BM_LanePreemption(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_LanePreemption)->Arg(1)->Arg(10)->Arg(30);
+
+/// A granted stage of one transaction on a machine, as the engines run
+/// it: a lock request, then `core::ForkJoin` over every node.
+struct ForkJoinStage {
+  struct Txn {
+    struct Params {
+      int64_t pu = 0;
+      std::vector<int32_t> nodes;
+    };
+    uint64_t id = 1;
+    Params params;
+    core::PhaseClock clock;
+    int64_t subtxns_remaining = 0;
+    std::vector<std::pair<int32_t, double>> sub_cpu_done;
+  };
+
+  explicit ForkJoinStage(int64_t npros) {
+    machine.Build(npros);
+    txn.params.pu = npros;
+    for (int64_t n = 0; n < npros; ++n) {
+      txn.params.nodes.push_back(static_cast<int32_t>(n));
+    }
+  }
+
+  void Run() {
+    machine.PayLockCost(0.01, 0.01, [this] {
+      core::ForkJoin(&machine, &probe, &txn, 0.02, 0.01,
+                     [this](Txn*) { ++stages; });
+    });
+  }
+
+  sim::Machine machine;
+  core::EngineProbe probe{obs::Hooks{}, nullptr};
+  Txn txn;
+  int64_t stages = 0;
+};
+
+void BM_ForkJoinStage(benchmark::State& state) {
+  // One lock request (a disk and a CPU lane job), then a range(0)-wide
+  // fork-join: a disk job then a CPU job on every node, each starting on
+  // an idle server. items/sec counts stages.
+  ForkJoinStage stage(state.range(0));
+  for (auto _ : state) {
+    const int64_t target = stage.stages + 1;
+    stage.Run();
+    while (stage.stages < target) stage.machine.sim().Step();
+  }
+  benchmark::DoNotOptimize(stage.machine.sim().ExecutedEvents());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ForkJoinStage)->Arg(1)->Arg(10)->Arg(30);
 
 void BM_LockTableAcquireRelease(benchmark::State& state) {
   const int64_t locks_per_txn = state.range(0);

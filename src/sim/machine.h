@@ -56,10 +56,11 @@ class Machine {
   /// node, then `cpu_per_node` of CPU work on every node, each phase one
   /// job of its pool's lane at preemptive lock priority; then calls
   /// `then()`. A phase without work (<= 0) is skipped, so a free request
-  /// calls `then()` before returning. Nothing is allocated: the I/O
-  /// phase's completion captures only the CPU share and `then`, which
-  /// must be at most two pointers so the capture fits the inline callback
-  /// buffer.
+  /// calls `then()` before returning. Nothing is allocated once the
+  /// lanes' queues have held their longest backlog: the I/O phase's
+  /// completion captures only the CPU share and `then`, which must be at
+  /// most two pointers and trivially copyable, so both completions are
+  /// stored in place and moved by copying bytes.
   template <typename Then>
   void PayLockCost(double io_per_node, double cpu_per_node, Then then);
 
@@ -85,12 +86,15 @@ class Machine {
 template <typename Then>
 void Machine::PayLockCost(double io_per_node, double cpu_per_node,
                           Then then) {
-  static_assert(sizeof(Then) <= 2 * sizeof(void*),
+  static_assert(sizeof(Then) <= 2 * sizeof(void*) &&
+                    InlineCallback::kCopiesBytes<Then>,
                 "PayLockCost continuations must stay allocation-free");
   if (io_per_node > 0.0) {
-    io_lane_.Submit(io_per_node, [this, cpu_per_node, then] {
+    auto cpu_phase = [this, cpu_per_node, then] {
       PayLockCost(0.0, cpu_per_node, then);
-    });
+    };
+    static_assert(InlineCallback::kCopiesBytes<decltype(cpu_phase)>);
+    io_lane_.Submit(io_per_node, cpu_phase);
     return;
   }
   if (cpu_per_node > 0.0) {

@@ -41,7 +41,9 @@ void LockLane::Submit(SimTime service, Completion on_complete) {
 
 void LockLane::BeginService() {
   service_start_ = sim_->Now();
-  sim_->ScheduleAfter(queue_.front().service, [this] { FinishCurrent(); });
+  auto finish = [this] { FinishCurrent(); };
+  static_assert(InlineCallback::kCopiesBytes<decltype(finish)>);
+  sim_->ScheduleAfter(queue_.front().service, finish);
 }
 
 void LockLane::FinishCurrent() {
@@ -90,24 +92,22 @@ void LockLane::CheckConsistency() const {
   GRANULOCK_AUDIT_CHECK_GE(busy_time_, 0.0) << "lane " << name_;
   // The windowed completion counter can never exceed the lifetime one.
   GRANULOCK_AUDIT_CHECK_LE(completed_, finished_) << "lane " << name_;
-  for (const Job& job : queue_) {
-    GRANULOCK_AUDIT_CHECK_GE(job.service, 0.0)
+  for (size_t i = 0; i < queue_.size(); ++i) {
+    GRANULOCK_AUDIT_CHECK_GE(queue_[i].service, 0.0)
         << "lane " << name_ << " queued job";
   }
   for (const PriorityServer* member : members_) {
     GRANULOCK_AUDIT_CHECK_EQ(IsWorking(member->index_),
-                             member->current_.has_value() ||
-                                 !member->queue_.empty())
+                             !member->queue_.empty())
         << "lane " << name_ << " mistracks whether server "
         << member->name() << " has transaction work";
     // While the lane is busy every member serves it, so a job in service
     // is suspended; while it is idle, none is, and queued work is served.
-    GRANULOCK_AUDIT_CHECK_EQ(member->suspended_,
-                             busy() && member->current_.has_value())
+    GRANULOCK_AUDIT_CHECK_EQ(member->suspended_, busy() && member->serving_)
         << "server " << member->name() << " in-service job suspended="
         << member->suspended_ << " while lane " << name_
         << " busy=" << busy();
-    GRANULOCK_AUDIT_CHECK(busy() || member->current_.has_value() ||
+    GRANULOCK_AUDIT_CHECK(busy() || member->serving_ ||
                           member->queue_.empty())
         << "server " << member->name() << " idles with queued work";
   }
@@ -164,21 +164,21 @@ void PriorityServer::Submit(ServiceClass cls, SimTime service,
 }
 
 void PriorityServer::StartNextIfIdle() {
-  if (current_.has_value() || lane_->busy() || queue_.empty()) return;
+  if (serving_ || lane_->busy() || queue_.empty()) return;
   NotifyTransition(+1);
-  StartNext();
+  StartHead();
 }
 
-void PriorityServer::StartNext() {
-  current_ = std::move(queue_.front());
-  queue_.pop_front();
+void PriorityServer::StartHead() {
+  serving_ = true;
   service_start_ = accounted_from_ = sim_->Now();
-  completion_event_ =
-      sim_->ScheduleAfter(current_->remaining, [this] { FinishCurrent(); });
+  auto finish = [this] { FinishCurrent(); };
+  static_assert(InlineCallback::kCopiesBytes<decltype(finish)>);
+  completion_event_ = sim_->ScheduleAfter(queue_.front().remaining, finish);
 }
 
 void PriorityServer::FinishCurrent() {
-  GRANULOCK_CHECK(current_.has_value() && !suspended_);
+  GRANULOCK_CHECK(serving_ && !suspended_);
   busy_time_ += sim_->Now() - accounted_from_;
   ++completed_;
   ++finished_;
@@ -186,40 +186,40 @@ void PriorityServer::FinishCurrent() {
       << "server " << name_
       << " finished more transaction jobs than were submitted";
   NotifyTransition(-1);
-  Completion done = std::move(current_->on_complete);
-  current_.reset();
+  Completion done = std::move(queue_.front().on_complete);
+  queue_.pop_front();
+  serving_ = false;
   StartNextIfIdle();
-  if (!current_.has_value()) lane_->SetWorking(index_, false);
+  if (!serving_) lane_->SetWorking(index_, false);
   if (done) done();
 }
 
 void PriorityServer::SuspendService() {
   const SimTime now = sim_->Now();
   busy_time_ += now - accounted_from_;
-  current_->remaining -= now - service_start_;
-  if (current_->remaining < 0.0) current_->remaining = 0.0;
+  SimTime& remaining = queue_.front().remaining;
+  remaining -= now - service_start_;
+  if (remaining < 0.0) remaining = 0.0;
   sim_->Suspend(completion_event_);
   suspended_ = true;
 }
 
 void PriorityServer::ResumeService() {
   if (!suspended_) {
-    StartNext();
+    StartHead();
     return;
   }
   suspended_ = false;
   const SimTime now = sim_->Now();
   service_start_ = accounted_from_ = now;
   completion_event_ =
-      sim_->Resume(completion_event_, now + current_->remaining);
+      sim_->Resume(completion_event_, now + queue_.front().remaining);
 }
 
 double PriorityServer::BusyTime(ServiceClass cls) const {
   if (cls == ServiceClass::kLock) return lane_->BusyTime();
   double t = busy_time_;
-  if (current_.has_value() && !suspended_) {
-    t += sim_->Now() - accounted_from_;
-  }
+  if (serving_ && !suspended_) t += sim_->Now() - accounted_from_;
   return t;
 }
 
@@ -238,32 +238,33 @@ void PriorityServer::ResetStats() {
   // post-reset accounting window. Its service start stays put, so a later
   // preemption still credits all the service it received. A suspended job
   // has been credited already and restarts its accounting on resume.
-  if (current_.has_value() && !suspended_) accounted_from_ = sim_->Now();
+  if (serving_ && !suspended_) accounted_from_ = sim_->Now();
   if (own_lane_ != nullptr) own_lane_->ResetStats();
 }
 
 size_t PriorityServer::QueueLength(ServiceClass cls) const {
   if (cls == ServiceClass::kLock) return lane_->QueueLength();
-  return queue_.size() + (suspended_ ? 1 : 0);
+  // The head counts as queued unless it is running.
+  return queue_.size() - (serving_ && !suspended_ ? 1 : 0);
 }
 
 void PriorityServer::CheckConsistency() const {
-  // Conservation: accepted == finished + queued + in-service.
-  const uint64_t in_service = current_.has_value() ? 1 : 0;
-  GRANULOCK_AUDIT_CHECK_EQ(accepted_, finished_ + queue_.size() + in_service)
+  // Conservation: accepted == finished + queued (the head in service
+  // while serving).
+  GRANULOCK_AUDIT_CHECK_EQ(accepted_, finished_ + queue_.size())
       << "server " << name_ << ": accepted=" << accepted_
       << " finished=" << finished_ << " queued=" << queue_.size()
-      << " in_service=" << in_service;
+      << " serving=" << serving_;
+  GRANULOCK_AUDIT_CHECK(!serving_ || !queue_.empty())
+      << "server " << name_ << " serves a job it does not hold";
   GRANULOCK_AUDIT_CHECK_GE(busy_time_, 0.0) << "server " << name_;
   // The windowed completion counter can never exceed the lifetime one.
   GRANULOCK_AUDIT_CHECK_LE(completed_, finished_) << "server " << name_;
-  for (const Job& job : queue_) {
-    GRANULOCK_AUDIT_CHECK_GE(job.remaining, 0.0)
+  for (size_t i = 0; i < queue_.size(); ++i) {
+    GRANULOCK_AUDIT_CHECK_GE(queue_[i].remaining, 0.0)
         << "server " << name_ << " queued job";
   }
-  if (current_.has_value()) {
-    GRANULOCK_AUDIT_CHECK_GE(current_->remaining, 0.0)
-        << "server " << name_ << " in-service job";
+  if (serving_) {
     GRANULOCK_AUDIT_CHECK_LE(service_start_, accounted_from_)
         << "server " << name_ << " accounts service before it started";
     GRANULOCK_AUDIT_CHECK_LE(accounted_from_, sim_->Now())

@@ -2,13 +2,12 @@
 #define GRANULOCK_SIM_PRIORITY_SERVER_H_
 
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "sim/busy_union.h"
+#include "sim/fcfs_ring.h"
 #include "sim/simulator.h"
 
 namespace granulock::sim {
@@ -136,7 +135,7 @@ class LockLane {
   // transaction work, so lane events visit only those members.
   std::vector<uint64_t> working_;
   BusyUnionTracker* busy_union_ = nullptr;  // shared by every member
-  std::deque<Job> queue_;  // FCFS; the head is in service while busy
+  FcfsRing<Job> queue_;  // the head is in service while busy
   SimTime service_start_ = 0.0;
   double busy_time_ = 0.0;
   uint64_t completed_ = 0;
@@ -148,7 +147,9 @@ class LockLane {
 /// A single-server queue with two priority classes and preemptive-resume
 /// discipline, used for both the CPU and the disk of every node.
 ///
-/// * Within a class, jobs are served FCFS.
+/// * Within a class, jobs are served FCFS. The transaction job in service
+///   is the head of its queue: a job submitted to an idle server starts
+///   where it was enqueued.
 /// * A kLock arrival preempts an in-service kTransaction job; the preempted
 ///   job keeps its accumulated service and stays in service, suspended,
 ///   until no lock work remains, then resumes ahead of its queue.
@@ -204,7 +205,7 @@ class PriorityServer {
   size_t QueueLength(ServiceClass cls) const;
 
   /// True iff a job is in service.
-  bool busy() const { return lane_->busy() || current_.has_value(); }
+  bool busy() const { return lane_->busy() || serving_; }
 
   const std::string& name() const { return name_; }
 
@@ -238,8 +239,9 @@ class PriorityServer {
 
   /// Transaction job service.
   void StartNextIfIdle();
-  /// Starts the head of the queue (which must not be empty).
-  void StartNext();
+  /// Starts serving the head of the queue (which must not be empty) in
+  /// place: schedules its completion `remaining` from now.
+  void StartHead();
   void FinishCurrent();
   /// The lane turned busy while this member had a job in service: credits
   /// the service it received so far and suspends its completion event.
@@ -258,10 +260,10 @@ class PriorityServer {
   std::unique_ptr<LockLane> own_lane_;  // standalone servers only
   LockLane* lane_;
   size_t index_ = 0;  // position in the lane, in node order
-  // Transaction class. While the lane is busy, the job in service (if
-  // any) is suspended.
-  std::deque<Job> queue_;
-  std::optional<Job> current_;
+  // Transaction class, FCFS. While `serving_`, the head is in service;
+  // while the lane is busy, that job is suspended.
+  FcfsRing<Job> queue_;
+  bool serving_ = false;
   bool suspended_ = false;
   SimTime service_start_ = 0.0;
   // Where the in-service job's busy time starts counting: its service

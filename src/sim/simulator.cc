@@ -46,7 +46,7 @@ void Simulator::ReleaseSlot(uint32_t index) {
   --live_count_;
 }
 
-EventId Simulator::Schedule(SimTime at, Callback callback, bool observer) {
+EventId Simulator::Schedule(SimTime at, Callback&& callback, bool observer) {
   GRANULOCK_CHECK_GE(at, now_) << "cannot schedule into the past";
   const uint32_t index = AcquireSlot();
   slot_cb_[index] = std::move(callback);
@@ -84,7 +84,7 @@ EventId Simulator::ScheduleAt(SimTime at, Callback callback) {
 
 EventId Simulator::ScheduleAfter(SimTime delay, Callback callback) {
   GRANULOCK_CHECK_GE(delay, 0.0);
-  return ScheduleAt(now_ + delay, std::move(callback));
+  return Schedule(now_ + delay, std::move(callback), /*observer=*/false);
 }
 
 EventId Simulator::ScheduleObserverAt(SimTime at, Callback callback) {
@@ -93,7 +93,7 @@ EventId Simulator::ScheduleObserverAt(SimTime at, Callback callback) {
 
 EventId Simulator::ScheduleObserverAfter(SimTime delay, Callback callback) {
   GRANULOCK_CHECK_GE(delay, 0.0);
-  return ScheduleObserverAt(now_ + delay, std::move(callback));
+  return Schedule(now_ + delay, std::move(callback), /*observer=*/true);
 }
 
 void Simulator::Cancel(EventId id) {

@@ -46,7 +46,8 @@ using EventId = uint64_t;
 ///    generations and flags into parallel arrays so staleness checks
 ///    never drag 64-byte callback objects through the cache.
 ///  * Callbacks live in `InlineCallback` small-buffer storage inside the
-///    slab — no per-event heap allocation.
+///    slab — no per-event heap allocation, and the engines' callbacks move
+///    in and out of it by copying bytes.
 ///  * Slots are recycled through a free list; each reuse bumps a
 ///    generation stamp, so a stale `EventId` (already fired or cancelled)
 ///    can never touch a later event that happens to reuse its slot.
@@ -221,7 +222,9 @@ class Simulator {
   /// size).
   static constexpr size_t kSmallPullAll = 32;
 
-  EventId Schedule(SimTime at, Callback callback, bool observer);
+  /// Takes the callback by rvalue, so the public wrappers build it once
+  /// and it is moved once, into its slot.
+  EventId Schedule(SimTime at, Callback&& callback, bool observer);
 
   /// Places `entry` in the bottom (imminent day) or its calendar bucket
   /// and records its time as its slot's entry time.

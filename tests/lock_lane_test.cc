@@ -97,7 +97,9 @@ class PooledLane {
 /// cancels its in-service job's completion event and pushes the job back
 /// on the head of its queue, crediting the service it received; when the
 /// lane drains, every member starts the head of its queue with a fresh
-/// `ScheduleAfter`. Each member reports its own union transitions.
+/// `ScheduleAfter`. Each member reports its own union transitions. A
+/// member always queues a submitted job and then moves the head out of
+/// its queue to start it, even when it was idle.
 class EagerPool {
  public:
   class Member {
@@ -120,6 +122,7 @@ class EagerPool {
       return cls == ServiceClass::kLock ? pool_->LockQueueLength()
                                         : queue_.size();
     }
+    bool busy() const { return pool_->busy() || current_.has_value(); }
 
    private:
     friend class EagerPool;
@@ -247,6 +250,44 @@ class EagerPool {
   int64_t preemptions_ = 0;
 };
 
+/// A pool of one standalone `PriorityServer`, which is its own lane of
+/// one. The lane is busy while a lock job is unfinished.
+class StandaloneServer {
+ public:
+  StandaloneServer(Simulator* sim, int npros) : server_(sim, "node0") {
+    EXPECT_EQ(npros, 1);
+    server_.SetBusyUnion(&union_);
+  }
+
+  void SubmitLock(SimTime service, std::function<void()> then) {
+    ++unfinished_locks_;
+    server_.Submit(ServiceClass::kLock, service,
+                   [this, then = std::move(then)] {
+                     --unfinished_locks_;
+                     then();
+                   });
+  }
+  void ResetStats(SimTime now) {
+    server_.ResetStats();
+    union_.ResetWindow(now);
+  }
+  bool lane_busy() const { return unfinished_locks_ > 0; }
+  PriorityServer& node(size_t n) {
+    EXPECT_EQ(n, 0u);
+    return server_;
+  }
+  const PriorityServer& node(size_t n) const {
+    EXPECT_EQ(n, 0u);
+    return server_;
+  }
+  const BusyUnionTracker& busy_union() const { return union_; }
+
+ private:
+  BusyUnionTracker union_;
+  PriorityServer server_;
+  int unfinished_locks_ = 0;
+};
+
 /// What a stream observably produced.
 struct Outcome {
   std::vector<int> order;      // job ids in completion order
@@ -254,6 +295,7 @@ struct Outcome {
   std::vector<double> probes;  // accounting read at fixed instants
   uint64_t events = 0;
   int64_t lock_jobs = 0;
+  int64_t idle_submits = 0;  // transaction jobs that found their server idle
 };
 
 /// A seeded random stream on a machine-like pair of pools (disks, then
@@ -365,26 +407,40 @@ TEST(LockLaneTest, PoolMatchesPerNodeServers) {
 
 // --- The lane equals its eager predecessor ---------------------------------
 
-/// A seeded stream that preempts every transaction job many times, on a
-/// machine-like pair of pools of `npros` nodes: two long transaction jobs
-/// (16 to 160 ticks) per node to start, and lock requests (a disk lock
-/// job on every node, then a CPU one) arriving every 1 to 4 ticks while
-/// transaction work remains, far more often than jobs complete. Every time
-/// is a whole number of ticks: with a tick of 1/4 events tie exactly, and
-/// with 1/10 the busy-time sums also round, so merging or splitting a
-/// union span would show. Each request probes every node's per-class busy
-/// times and queue lengths and both unions at the instant its lane job
-/// was submitted and half a tick later, inside the busy period; the
-/// warm-up reset waits for the disk lane to be busy.
+/// The transaction work of a `PreemptionStream`.
+enum class TxnShape {
+  /// 16 to 160 ticks per job: every job is preempted many times over.
+  kLong,
+  /// 0 to 4 ticks per job, lock requests 2 to 12 ticks apart, and each
+  /// paid request forks a stage as `core::ForkJoin` does: a disk job on
+  /// about half the nodes, each submitting a CPU job on its node the
+  /// instant it finishes. Most jobs find their server idle and start
+  /// where they were enqueued.
+  kShort,
+};
+
+/// A seeded stream of lock requests and transaction work on a
+/// machine-like pair of pools of `npros` nodes: two transaction jobs per
+/// node to start, and lock requests (a disk lock job on every node, then
+/// a CPU one) arriving while transaction work remains. With
+/// `TxnShape::kLong` they arrive every 1 to 4 ticks, far more often than
+/// jobs complete. Every time is a whole number of ticks: with a tick of
+/// 1/4 events tie exactly, and with 1/10 the busy-time sums also round,
+/// so merging or splitting a union span would show. Each request probes
+/// every node's per-class busy times and queue lengths and both unions at
+/// the instant its lane job was submitted and half a tick later, inside
+/// the busy period; the warm-up reset waits for the disk lane to be busy.
 template <typename Pool>
 class PreemptionStream {
  public:
-  PreemptionStream(uint64_t seed, int npros, double tick)
+  PreemptionStream(uint64_t seed, int npros, double tick,
+                   TxnShape shape = TxnShape::kLong)
       : io_(&sim_, npros),
         cpu_(&sim_, npros),
         rng_(seed),
         npros_(npros),
-        tick_(tick) {}
+        tick_(tick),
+        shape_(shape) {}
 
   Outcome Run() {
     for (Pool* pool : {&io_, &cpu_}) {
@@ -417,9 +473,11 @@ class PreemptionStream {
   }
 
   void LockArrival() {
-    if (outstanding_ == 0) return;
+    if (outstanding_ == 0 && !StagesLeft()) return;
     SubmitLock();
-    sim_.ScheduleAfter(Ticks(1, 4), [this] { LockArrival(); });
+    const double gap =
+        shape_ == TxnShape::kLong ? Ticks(1, 4) : Ticks(2, 12);
+    sim_.ScheduleAfter(gap, [this] { LockArrival(); });
   }
   void SubmitLock() {
     const int id = NewJob();
@@ -427,7 +485,9 @@ class PreemptionStream {
     io_.SubmitLock(Ticks(1, 2), [this, id] {
       cpu_.SubmitLock(Ticks(1, 2), [this, id] {
         Done(id);
-        if (txn_jobs_ < 200 && rng_.Bernoulli(0.1)) {
+        if (shape_ == TxnShape::kShort) {
+          if (StagesLeft()) ForkStage();
+        } else if (txn_jobs_ < 200 && rng_.Bernoulli(0.1)) {
           Pool& pool = rng_.Bernoulli(0.5) ? io_ : cpu_;
           SubmitTxn(pool, static_cast<size_t>(rng_.UniformInt(0, npros_ - 1)));
         }
@@ -436,14 +496,30 @@ class PreemptionStream {
     });
     ProbeNowAndSoon();
   }
-  void SubmitTxn(Pool& pool, size_t node) {
+  bool StagesLeft() const {
+    return shape_ == TxnShape::kShort && txn_jobs_ < 400;
+  }
+  void ForkStage() {
+    for (int n = 0; n < npros_; ++n) {
+      if (rng_.Bernoulli(0.5)) {
+        SubmitTxn(io_, static_cast<size_t>(n), /*then_cpu=*/true);
+      }
+    }
+  }
+  /// With `then_cpu`, the job's completion submits a CPU job on `node` at
+  /// once, as a sub-transaction's I/O stage does.
+  void SubmitTxn(Pool& pool, size_t node, bool then_cpu = false) {
     const int id = NewJob();
     ++txn_jobs_;
     ++outstanding_;
-    pool.node(node).Submit(ServiceClass::kTransaction, Ticks(16, 160),
-                           [this, id] {
+    if (!pool.node(node).busy()) ++out_.idle_submits;
+    const double service =
+        shape_ == TxnShape::kLong ? Ticks(16, 160) : Ticks(0, 4);
+    pool.node(node).Submit(ServiceClass::kTransaction, service,
+                           [this, id, node, then_cpu] {
                              Done(id);
                              --outstanding_;
+                             if (then_cpu) SubmitTxn(cpu_, node);
                            });
   }
   void ResetInsideBusyPeriod() {
@@ -480,6 +556,7 @@ class PreemptionStream {
   Rng rng_;
   const int npros_;
   const double tick_;
+  const TxnShape shape_;
   int64_t txn_jobs_ = 0;
   int64_t outstanding_ = 0;
   Outcome out_;
@@ -505,6 +582,60 @@ TEST(LockLaneTest, MatchesEagerPreemptionBitForBit) {
         const int64_t preemptions = eager_stream.io().preemptions() +
                                     eager_stream.cpu().preemptions();
         EXPECT_GT(preemptions, 5 * eager_stream.txn_jobs());
+      }
+    }
+  }
+}
+
+TEST(LockLaneTest, IdleStartsMatchEagerPoolBitForBit) {
+  // The eager pool always queues a job and then starts the head; the
+  // server starts a job submitted to it while idle where it was enqueued.
+  for (double tick : {0.25, 0.1}) {
+    for (int npros : {1, 3, 30}) {
+      for (uint64_t seed = 1; seed <= 3; ++seed) {
+        SCOPED_TRACE(testing::Message() << "tick=" << tick << " npros="
+                                        << npros << " seed=" << seed);
+        PreemptionStream<EagerPool> eager_stream(seed, npros, tick,
+                                                 TxnShape::kShort);
+        const Outcome eager = eager_stream.Run();
+        PreemptionStream<PooledLane> lane_stream(seed, npros, tick,
+                                                 TxnShape::kShort);
+        const Outcome lane = lane_stream.Run();
+        EXPECT_EQ(eager.order, lane.order);
+        EXPECT_EQ(eager.done, lane.done);
+        EXPECT_EQ(eager.probes, lane.probes);
+        EXPECT_EQ(eager.events, lane.events);
+        EXPECT_EQ(eager.lock_jobs, lane.lock_jobs);
+        EXPECT_EQ(eager.idle_submits, lane.idle_submits);
+        // Many jobs start on an idle server, and lock work still
+        // preempts some.
+        EXPECT_GT(3 * lane.idle_submits, lane_stream.txn_jobs());
+        EXPECT_GT(eager_stream.io().preemptions() +
+                      eager_stream.cpu().preemptions(),
+                  0);
+      }
+    }
+  }
+}
+
+TEST(LockLaneTest, StandaloneServerMatchesEagerPoolBitForBit) {
+  for (TxnShape shape : {TxnShape::kLong, TxnShape::kShort}) {
+    for (double tick : {0.25, 0.1}) {
+      for (uint64_t seed = 1; seed <= 3; ++seed) {
+        SCOPED_TRACE(testing::Message()
+                     << "short=" << (shape == TxnShape::kShort)
+                     << " tick=" << tick << " seed=" << seed);
+        const Outcome eager =
+            PreemptionStream<EagerPool>(seed, 1, tick, shape).Run();
+        const Outcome server =
+            PreemptionStream<StandaloneServer>(seed, 1, tick, shape).Run();
+        EXPECT_EQ(eager.order, server.order);
+        EXPECT_EQ(eager.done, server.done);
+        EXPECT_EQ(eager.probes, server.probes);
+        EXPECT_EQ(eager.events, server.events);
+        EXPECT_EQ(eager.lock_jobs, server.lock_jobs);
+        EXPECT_EQ(eager.idle_submits, server.idle_submits);
+        EXPECT_GT(server.idle_submits, 0);
       }
     }
   }

@@ -5,6 +5,8 @@
 #include <utility>
 #include <vector>
 
+#include "sim/fcfs_ring.h"
+#include "sim/inline_callback.h"
 #include "sim/simulator.h"
 
 namespace granulock::sim {
@@ -182,6 +184,39 @@ TEST_F(PriorityServerTest, TotalBusyTimeSumsClasses) {
   server_.Submit(ServiceClass::kTransaction, 2.5, [] {});
   sim_.RunUntilEmpty();
   EXPECT_DOUBLE_EQ(server_.TotalBusyTime(), 4.0);
+}
+
+TEST(FcfsRingTest, KeepsFifoOrderAcrossWrapAndGrowth) {
+  FcfsRing<std::pair<int, InlineCallback>> ring;
+  std::vector<int> fired;
+  int next = 0;
+  auto push = [&](int n) {
+    for (int i = 0; i < n; ++i, ++next) {
+      ring.push_back({next, [&fired, id = next] { fired.push_back(id); }});
+    }
+  };
+  auto pop = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      ring.front().second();
+      ring.pop_front();
+    }
+  };
+  // Wrap the first four slots, then grow twice while the front is not
+  // the first slot.
+  push(3);
+  pop(2);
+  push(3);
+  EXPECT_EQ(ring.size(), 4u);
+  push(9);
+  EXPECT_EQ(ring.size(), 13u);
+  for (size_t i = 0; i < ring.size(); ++i) {
+    EXPECT_EQ(ring[i].first, static_cast<int>(i) + 2);
+  }
+  pop(13);
+  EXPECT_TRUE(ring.empty());
+  std::vector<int> expected(15);
+  for (int i = 0; i < 15; ++i) expected[static_cast<size_t>(i)] = i;
+  EXPECT_EQ(fired, expected);
 }
 
 }  // namespace

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 namespace granulock::sim {
@@ -268,6 +270,68 @@ TEST(SimulatorTest, LargeCaptureCallbackFallsBackToHeap) {
   sim.RunUntilEmpty();
   EXPECT_EQ(*counter, 1);
   EXPECT_EQ(counter.use_count(), 2);  // local `big` + `counter` itself
+}
+
+TEST(InlineCallbackTest, ByteCopiedCallableSurvivesMoves) {
+  int fired = 0;
+  int64_t sum = 0;
+  const int64_t base = 40;
+  const double weight = 2.0;
+  auto add = [&fired, &sum, base, weight] {
+    ++fired;
+    sum += base + static_cast<int64_t>(weight);
+  };
+  static_assert(InlineCallback::kCopiesBytes<decltype(add)>);
+  InlineCallback a(add);
+  InlineCallback b(std::move(a));
+  InlineCallback c;
+  c = std::move(b);
+  InlineCallback d(std::move(c));
+  // Move-assignment over a live callback discards the old callable.
+  InlineCallback e([&fired] { fired += 100; });
+  e = std::move(d);
+  InlineCallback f(std::move(e));
+  // NOLINTNEXTLINE(bugprone-use-after-move): a moved-from callback is empty
+  EXPECT_FALSE(a || b || c || d || e);
+  ASSERT_TRUE(f);
+  f();
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(sum, 42);
+}
+
+TEST(InlineCallbackTest, SharedPtrCaptureKeepsExactUseCount) {
+  auto token = std::make_shared<int>(0);
+  auto bump = [token] { ++*token; };
+  static_assert(!InlineCallback::kCopiesBytes<decltype(bump)>);
+  {
+    InlineCallback a(bump);
+    EXPECT_EQ(token.use_count(), 3);  // `token`, `bump` and `a`
+    InlineCallback b(std::move(a));
+    EXPECT_EQ(token.use_count(), 3);
+    InlineCallback c([token] { *token += 10; });
+    EXPECT_EQ(token.use_count(), 4);
+    c = std::move(b);  // destroys c's own capture, takes b's
+    EXPECT_EQ(token.use_count(), 3);
+    c();
+    EXPECT_EQ(*token, 1);
+    // A byte-copied callable assigned over it releases the capture.
+    int fired = 0;
+    c = InlineCallback([&fired] { ++fired; });
+    EXPECT_EQ(token.use_count(), 2);
+    c();
+    EXPECT_EQ(fired, 1);
+    InlineCallback d(std::move(bump));
+    EXPECT_EQ(token.use_count(), 2);  // `bump` gave its capture up
+    d.Reset();
+    EXPECT_EQ(token.use_count(), 1);
+    EXPECT_FALSE(d);
+    d.Reset();  // a no-op on an empty callback
+    EXPECT_EQ(token.use_count(), 1);
+    d = InlineCallback([token] { ++*token; });
+    EXPECT_EQ(token.use_count(), 2);
+  }
+  EXPECT_EQ(token.use_count(), 1);
+  EXPECT_EQ(*token, 1);
 }
 
 TEST(SimulatorTest, ZeroDelayEventFiresAtSameTime) {
