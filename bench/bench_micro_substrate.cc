@@ -16,9 +16,11 @@
 #include "core/fork_join.h"
 #include "core/granularity_simulator.h"
 #include "core/parallel_runner.h"
+#include "db/contention_policy.h"
 #include "db/granule_selector.h"
 #include "lockmgr/hierarchical.h"
 #include "lockmgr/lock_table.h"
+#include "lockmgr/wait_queue_table.h"
 #include "lockmgr/waits_for.h"
 #include "model/conflict.h"
 #include "model/placement.h"
@@ -255,6 +257,136 @@ void BM_HierarchicalAcquireRelease(benchmark::State& state) {
 }
 BENCHMARK(BM_HierarchicalAcquireRelease);
 
+/// Claim-as-needed transactions on a 100-granule table, as the
+/// incremental engine runs them under `incremental_2pl`: worst-placement
+/// sets of 1 to 20 granules claimed one at a time in X. In turn, each
+/// claims its next granule, commits after its last, or, when its turn
+/// finds it queued, aborts; either way it restarts under a fresh id.
+class ClaimChurn {
+ public:
+  explicit ClaimChurn(int64_t txns)
+      : table_(kGranules), rng_(1), txns_(static_cast<size_t>(txns)) {
+    for (Claimer& t : txns_) Restart(&t);
+  }
+
+  /// One turn of the next transaction; true when it requested a lock.
+  bool Turn() {
+    Claimer& t = txns_[turn_++ % txns_.size()];
+    grants_.clear();
+    bool requested = false;
+    if (t.queued) {
+      table_.Abort(t.id, &grants_);
+      Restart(&t);
+    } else if (t.next == t.granules.size()) {
+      table_.ReleaseAll(t.id, &grants_);
+      Restart(&t);
+    } else {
+      requested = true;
+      if (table_.Acquire(t.id, t.granules[t.next], lockmgr::LockMode::kX) ==
+          lockmgr::WaitQueueLockTable::AcquireResult::kGranted) {
+        ++t.next;
+      } else {
+        t.queued = true;
+      }
+    }
+    for (const lockmgr::TxnId id : grants_) {
+      for (Claimer& waiter : txns_) {
+        if (waiter.id != id) continue;
+        waiter.queued = false;
+        ++waiter.next;
+      }
+    }
+    return requested;
+  }
+
+  /// Turns without aborts until `waiters` transactions queue (or a
+  /// budget of turns runs out), leaving hold-and-wait chains in place.
+  void BuildWaits(int64_t waiters) {
+    for (int i = 0; i < 100000 && table_.WaitingCount() < waiters; ++i) {
+      Claimer& t = txns_[turn_++ % txns_.size()];
+      if (t.queued || t.next == t.granules.size()) continue;
+      if (table_.Acquire(t.id, t.granules[t.next], lockmgr::LockMode::kX) ==
+          lockmgr::WaitQueueLockTable::AcquireResult::kGranted) {
+        ++t.next;
+      } else {
+        t.queued = true;
+      }
+    }
+  }
+
+  const lockmgr::WaitQueueLockTable& table() const { return table_; }
+
+ private:
+  static constexpr int64_t kGranules = 100;
+  struct Claimer {
+    lockmgr::TxnId id = 0;
+    std::vector<int64_t> granules;
+    size_t next = 0;
+    bool queued = false;
+  };
+
+  void Restart(Claimer* t) {
+    t->id = next_id_++;
+    db::SelectGranules(model::Placement::kWorst, 5000, kGranules,
+                       rng_.UniformInt(1, 20), rng_, &t->granules);
+    rng_.Shuffle(t->granules);
+    t->next = 0;
+    t->queued = false;
+  }
+
+  lockmgr::WaitQueueLockTable table_;
+  Rng rng_;
+  std::vector<Claimer> txns_;
+  std::vector<lockmgr::TxnId> grants_;
+  lockmgr::TxnId next_id_ = 1;
+  size_t turn_ = 0;
+};
+
+void BM_QueuedLockChurn(benchmark::State& state) {
+  ClaimChurn churn(state.range(0));
+  int64_t requests = 0;
+  for (auto _ : state) {
+    requests += churn.Turn() ? 1 : 0;
+  }
+  state.SetItemsProcessed(requests);
+}
+BENCHMARK(BM_QueuedLockChurn)->Arg(64);
+
+/// A directory in which nobody has restarted or is doomed.
+class QuietDirectory final : public db::TxnDirectory {
+ public:
+  int64_t RestartsOf(lockmgr::TxnId) const override { return 0; }
+  bool IsDoomed(lockmgr::TxnId) const override { return false; }
+};
+
+void BM_DetectOnBlock(benchmark::State& state) {
+  // The `detect` policy's cycle question for each waiter of a table in
+  // which half of `mpl` claiming transactions wait while holding.
+  const int64_t mpl = state.range(0);
+  ClaimChurn churn(mpl);
+  churn.BuildWaits(mpl / 2);
+  std::vector<db::ConflictRequest> blocked;
+  for (const auto& [waiter, granule] : churn.table().WaitingRequests()) {
+    blocked.push_back({waiter, granule, lockmgr::LockMode::kX});
+  }
+  if (blocked.empty()) {
+    state.SkipWithError("no transaction waits");
+    return;
+  }
+  const auto policy =
+      db::MakeContentionPolicy(db::ContentionPolicyKind::kDetectRequester);
+  const QuietDirectory directory;
+  std::vector<lockmgr::TxnId> victims;
+  size_t next = 0;
+  for (auto _ : state) {
+    policy->OnBlock(blocked[next++ % blocked.size()], churn.table(),
+                    directory, &victims);
+    benchmark::DoNotOptimize(victims.data());
+  }
+  state.counters["waiters"] = static_cast<double>(blocked.size());
+}
+BENCHMARK(BM_DetectOnBlock)->Arg(8)->Arg(64);
+
 void BM_YaoExpectedGranules(benchmark::State& state) {
   const int64_t nu = state.range(0);
   for (auto _ : state) {
@@ -297,6 +429,20 @@ void BM_SelectGranulesRandom(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SelectGranulesRandom)->Arg(25)->Arg(250);
+
+void BM_SelectGranulesWorst(benchmark::State& state) {
+  // The engines' path: worst placement into a reused buffer, as the
+  // incremental engine draws it (ltot 100, up to 20 granules) and at the
+  // largest worst-placement set the figure benches draw.
+  Rng rng(1);
+  std::vector<int64_t> granules;
+  for (auto _ : state) {
+    db::SelectGranules(model::Placement::kWorst, 5000, state.range(0),
+                       state.range(1), rng, &granules);
+    benchmark::DoNotOptimize(granules.data());
+  }
+}
+BENCHMARK(BM_SelectGranulesWorst)->Args({100, 20})->Args({5000, 500});
 
 void BM_FullSimulationShort(benchmark::State& state) {
   model::SystemConfig cfg = model::SystemConfig::Table1Defaults();

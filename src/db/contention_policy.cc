@@ -50,29 +50,35 @@ Result<ContentionPolicyKind> ParseContentionPolicy(const std::string& name) {
 WaitsForGraph BuildWaitsForGraph(const WaitQueueLockTable& table) {
   WaitsForGraph graph;
   for (const auto& [waiter, granule] : table.WaitingRequests()) {
-    for (TxnId holder : table.Holders(granule)) {
-      graph.AddWait(waiter, holder);
+    for (const auto& holder : table.Holders(granule)) {
+      graph.AddWait(waiter, holder.txn);
     }
   }
   return graph;
 }
 
-std::vector<TxnId> BlockersOf(const ConflictRequest& req,
-                              const WaitQueueLockTable& table) {
-  std::vector<TxnId> blockers;
-  for (TxnId holder : table.Holders(req.granule)) {
-    if (holder != req.requester) blockers.push_back(holder);
+namespace {
+
+/// Calls `fn` for each transaction blocking `req`: the other holders of
+/// its granule in grant order, then the waiters ahead of it in queue
+/// order. A holder queued ahead for an upgrade is visited twice.
+template <typename Fn>
+void ForEachBlocker(const ConflictRequest& req,
+                    const WaitQueueLockTable& table, Fn&& fn) {
+  for (const auto& holder : table.Holders(req.granule)) {
+    if (holder.txn != req.requester) fn(holder.txn);
   }
-  for (TxnId ahead : table.WaitersAhead(req.requester, req.granule)) {
-    blockers.push_back(ahead);
-  }
-  // Holder order is the table's insertion order and the ahead list is
-  // queue order — both deterministic — but policies compare ids, so a
-  // sorted, deduplicated list is the cleanest contract.
-  std::sort(blockers.begin(), blockers.end());
-  blockers.erase(std::unique(blockers.begin(), blockers.end()),
-                 blockers.end());
-  return blockers;
+  table.ForEachWaiterAhead(req.requester, req.granule, fn);
+}
+
+}  // namespace
+
+void BlockersOf(const ConflictRequest& req, const WaitQueueLockTable& table,
+                std::vector<TxnId>* out) {
+  out->clear();
+  ForEachBlocker(req, table, [out](TxnId blocker) { out->push_back(blocker); });
+  std::sort(out->begin(), out->end());
+  out->erase(std::unique(out->begin(), out->end()), out->end());
 }
 
 namespace {
@@ -82,26 +88,31 @@ class DetectRequesterPolicy final : public ContentionPolicy {
   ContentionPolicyKind kind() const override {
     return ContentionPolicyKind::kDetectRequester;
   }
-  ConflictDecision OnBlock(const ConflictRequest& req,
-                           const WaitQueueLockTable& table,
-                           const TxnDirectory&) override {
-    if (BuildWaitsForGraph(table).FindCycleFrom(req.requester).empty()) {
-      return {};
+  void OnBlock(const ConflictRequest& req, const WaitQueueLockTable& table,
+               const TxnDirectory&, std::vector<TxnId>* victims) override {
+    victims->clear();
+    if (table.OnWaitsForCycle(req.requester, &walk_)) {
+      victims->push_back(req.requester);
     }
-    return {{req.requester}};
   }
+
+ private:
+  WaitQueueLockTable::CycleWalk walk_;
 };
 
 /// Shared shape of the two victim-selecting detectors: find the cycle
 /// through the requester, pick the member minimizing a cost, preferring
-/// the youngest (largest id) on ties.
+/// the youngest (largest id) on ties. The cycle found, and so the victim,
+/// follows the rebuilt graph's adjacency order, which the checked-in
+/// shootout baseline pins; these two detectors therefore keep the graph.
 template <typename CostFn>
-ConflictDecision DetectWithVictim(const ConflictRequest& req,
-                                  const WaitQueueLockTable& table,
-                                  CostFn cost) {
+void DetectWithVictim(const ConflictRequest& req,
+                      const WaitQueueLockTable& table, CostFn cost,
+                      std::vector<TxnId>* victims) {
+  victims->clear();
   const std::vector<TxnId> cycle =
       BuildWaitsForGraph(table).FindCycleFrom(req.requester);
-  if (cycle.empty()) return {};
+  if (cycle.empty()) return;
   TxnId victim = cycle.front();
   int64_t victim_cost = cost(victim);
   for (size_t i = 1; i < cycle.size(); ++i) {
@@ -111,7 +122,7 @@ ConflictDecision DetectWithVictim(const ConflictRequest& req,
       victim_cost = c;
     }
   }
-  return {{victim}};
+  victims->push_back(victim);
 }
 
 class DetectFewestLocksPolicy final : public ContentionPolicy {
@@ -119,11 +130,11 @@ class DetectFewestLocksPolicy final : public ContentionPolicy {
   ContentionPolicyKind kind() const override {
     return ContentionPolicyKind::kDetectFewestLocks;
   }
-  ConflictDecision OnBlock(const ConflictRequest& req,
-                           const WaitQueueLockTable& table,
-                           const TxnDirectory&) override {
-    return DetectWithVictim(
-        req, table, [&table](TxnId txn) { return table.HeldCount(txn); });
+  void OnBlock(const ConflictRequest& req, const WaitQueueLockTable& table,
+               const TxnDirectory&, std::vector<TxnId>* victims) override {
+    DetectWithVictim(
+        req, table, [&table](TxnId txn) { return table.HeldCount(txn); },
+        victims);
   }
 };
 
@@ -132,11 +143,12 @@ class DetectYoungestPolicy final : public ContentionPolicy {
   ContentionPolicyKind kind() const override {
     return ContentionPolicyKind::kDetectYoungest;
   }
-  ConflictDecision OnBlock(const ConflictRequest& req,
-                           const WaitQueueLockTable& table,
-                           const TxnDirectory& txns) override {
-    return DetectWithVictim(
-        req, table, [&txns](TxnId txn) { return txns.RestartsOf(txn); });
+  void OnBlock(const ConflictRequest& req, const WaitQueueLockTable& table,
+               const TxnDirectory& txns,
+               std::vector<TxnId>* victims) override {
+    DetectWithVictim(
+        req, table, [&txns](TxnId txn) { return txns.RestartsOf(txn); },
+        victims);
   }
 };
 
@@ -145,21 +157,19 @@ class WoundWaitPolicy final : public ContentionPolicy {
   ContentionPolicyKind kind() const override {
     return ContentionPolicyKind::kWoundWait;
   }
-  ConflictDecision OnBlock(const ConflictRequest& req,
-                           const WaitQueueLockTable& table,
-                           const TxnDirectory& txns) override {
-    // The requester wounds every younger blocker; older blockers it
-    // waits for. Already-doomed blockers are dying on their own. After
-    // the wounds land every waits-for edge from the requester reaches an
-    // older or doomed transaction, and doomed transactions never queue,
-    // so ids strictly decrease along waiting chains: no cycle.
-    ConflictDecision decision;
-    for (TxnId blocker : BlockersOf(req, table)) {
-      if (blocker > req.requester && !txns.IsDoomed(blocker)) {
-        decision.victims.push_back(blocker);
-      }
-    }
-    return decision;
+  void OnBlock(const ConflictRequest& req, const WaitQueueLockTable& table,
+               const TxnDirectory& txns,
+               std::vector<TxnId>* victims) override {
+    // The requester wounds every younger blocker, oldest first; older
+    // blockers it waits for. Already-doomed blockers are dying on their
+    // own. After the wounds land every waits-for edge from the requester
+    // reaches an older or doomed transaction, and doomed transactions
+    // never queue, so ids strictly decrease along waiting chains: no
+    // cycle.
+    BlockersOf(req, table, victims);
+    std::erase_if(*victims, [&](TxnId blocker) {
+      return blocker <= req.requester || txns.IsDoomed(blocker);
+    });
   }
 };
 
@@ -168,19 +178,19 @@ class WaitDiePolicy final : public ContentionPolicy {
   ContentionPolicyKind kind() const override {
     return ContentionPolicyKind::kWaitDie;
   }
-  ConflictDecision OnBlock(const ConflictRequest& req,
-                           const WaitQueueLockTable& table,
-                           const TxnDirectory& txns) override {
-    // The requester may wait only for strictly older (or doomed — they
-    // hold no future) blockers... inverted: it *dies* when any live
-    // blocker is older. Surviving waits point old -> young, so ids
-    // strictly increase along waiting chains: no cycle.
-    for (TxnId blocker : BlockersOf(req, table)) {
-      if (blocker < req.requester && !txns.IsDoomed(blocker)) {
-        return {{req.requester}};
-      }
-    }
-    return {};
+  void OnBlock(const ConflictRequest& req, const WaitQueueLockTable& table,
+               const TxnDirectory& txns,
+               std::vector<TxnId>* victims) override {
+    // The requester *dies* when any live blocker is older; it waits only
+    // for younger (or doomed — they hold no future) blockers. Surviving
+    // waits point old -> young, so ids strictly increase along waiting
+    // chains: no cycle.
+    bool dies = false;
+    ForEachBlocker(req, table, [&](TxnId blocker) {
+      dies = dies || (blocker < req.requester && !txns.IsDoomed(blocker));
+    });
+    victims->clear();
+    if (dies) victims->push_back(req.requester);
   }
 };
 
@@ -189,25 +199,26 @@ class WaitDepthPolicy final : public ContentionPolicy {
   ContentionPolicyKind kind() const override {
     return ContentionPolicyKind::kWaitDepth;
   }
-  ConflictDecision OnBlock(const ConflictRequest& req,
-                           const WaitQueueLockTable& table,
-                           const TxnDirectory&) override {
+  void OnBlock(const ConflictRequest& req, const WaitQueueLockTable& table,
+               const TxnDirectory&, std::vector<TxnId>* victims) override {
     // WDL(1): the requester may wait only at depth one — at the head of
     // the queue, on active holders, while nobody waits on its own locks.
     // Any deeper nesting aborts the requester, so no waits-for edge ever
     // enters a blocked transaction and cycles cannot form.
-    if (!table.WaitersAhead(req.requester, req.granule).empty()) {
-      return {{req.requester}};
-    }
-    for (TxnId holder : table.Holders(req.granule)) {
-      if (holder != req.requester && table.IsQueued(holder)) {
-        return {{req.requester}};
+    const auto deeper = [&] {
+      bool ahead = false;
+      table.ForEachWaiterAhead(req.requester, req.granule,
+                               [&ahead](TxnId) { ahead = true; });
+      if (ahead) return true;
+      for (const auto& holder : table.Holders(req.granule)) {
+        if (holder.txn != req.requester && table.IsQueued(holder.txn)) {
+          return true;
+        }
       }
-    }
-    if (table.HasOtherWaitersOnHeldGranules(req.requester)) {
-      return {{req.requester}};
-    }
-    return {};
+      return table.HasOtherWaitersOnHeldGranules(req.requester);
+    };
+    victims->clear();
+    if (deeper()) victims->push_back(req.requester);
   }
 };
 

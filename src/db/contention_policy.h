@@ -95,42 +95,42 @@ struct ConflictRequest {
   lockmgr::LockMode mode = lockmgr::LockMode::kX;
 };
 
-/// A policy's verdict: the transactions that must abort (possibly
-/// including the requester). Empty means the requester simply waits. The
-/// engine aborts waiting victims immediately and marks running victims
-/// doomed (they abort at their next safe point), then asks again while
-/// the requester is still queued.
-struct ConflictDecision {
-  std::vector<lockmgr::TxnId> victims;
-};
-
 /// Strategy interface. `OnBlock` runs after the requester has joined the
 /// wait queue for `req.granule`; the table reflects that state.
 class ContentionPolicy {
  public:
   virtual ~ContentionPolicy() = default;
   virtual ContentionPolicyKind kind() const = 0;
-  virtual ConflictDecision OnBlock(const ConflictRequest& req,
-                                   const lockmgr::WaitQueueLockTable& table,
-                                   const TxnDirectory& txns) = 0;
+  /// Replaces `*victims` with the transactions that must abort (possibly
+  /// including the requester), in abort order. Empty means the requester
+  /// simply waits. The engine aborts waiting victims immediately and
+  /// marks running victims doomed (they abort at their next safe point),
+  /// then asks again while the requester is still queued. Policies keep
+  /// any scratch between calls, so deciding allocates nothing once the
+  /// buffers have grown.
+  virtual void OnBlock(const ConflictRequest& req,
+                       const lockmgr::WaitQueueLockTable& table,
+                       const TxnDirectory& txns,
+                       std::vector<lockmgr::TxnId>* victims) = 0;
 };
 
 std::unique_ptr<ContentionPolicy> MakeContentionPolicy(
     ContentionPolicyKind kind);
 
 /// Rebuilds the waits-for graph from the table's queues (waiter -> every
-/// holder of the waited granule) — the same edge set the deep audit and
-/// the baseline detection use.
+/// holder of the waited granule) — the edge set the deep audit, the
+/// contention profiler and the victim-picking detectors use, and the one
+/// `WaitQueueLockTable::OnWaitsForCycle` walks in place.
 lockmgr::WaitsForGraph BuildWaitsForGraph(
     const lockmgr::WaitQueueLockTable& table);
 
-/// The transactions blocking `req`: every holder of `req.granule` other
-/// than the requester plus every waiter queued ahead of it (strict FIFO —
-/// the request cannot be granted before those drain). This is exactly the
-/// edge set the waits-for audit attributes to the requester, so policies
-/// reasoning about "who am I waiting on" stay consistent with the audit.
-std::vector<lockmgr::TxnId> BlockersOf(
-    const ConflictRequest& req, const lockmgr::WaitQueueLockTable& table);
+/// Replaces `*out` with the transactions blocking `req`, sorted and
+/// de-duplicated: every holder of `req.granule` other than the requester
+/// plus every waiter queued ahead of it (strict FIFO — the request cannot
+/// be granted before those drain).
+void BlockersOf(const ConflictRequest& req,
+                const lockmgr::WaitQueueLockTable& table,
+                std::vector<lockmgr::TxnId>* out);
 
 // ---------------------------------------------------------------------
 // Restart governor

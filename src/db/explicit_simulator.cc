@@ -155,8 +155,8 @@ ExplicitSimulator::Txn* ExplicitSimulator::CreateTransaction() {
                 txn->params.nu >= options_.coarse_threshold;
   int64_t locks_set = 1;  // coarse: one database-level lock
   if (!txn->coarse) {
-    txn->granules = SelectGranules(spec_.placement, cfg_.dbsize, cfg_.ltot,
-                                   txn->params.nu, rng_);
+    SelectGranules(spec_.placement, cfg_.dbsize, cfg_.ltot, txn->params.nu,
+                   rng_, &txn->granules);
     if (options_.strategy == LockingStrategy::kHierarchical) {
       // Hierarchical transactions pay for every lock actually set:
       // granule locks plus the derived file/root intention locks, after

@@ -23,8 +23,11 @@ namespace granulock::db {
 /// * kWorst — `min(nu, ltot)` distinct granules drawn uniformly (every
 ///   entity in its own granule, spread maximally).
 ///
-/// Requires 1 <= nu <= dbsize and 1 <= ltot <= dbsize. The result is
-/// sorted, duplicate-free and non-empty.
+/// Requires 1 <= nu <= dbsize and 1 <= ltot <= dbsize. The result, which
+/// replaces `*out`, is sorted, duplicate-free and non-empty. `out` keeps
+/// its capacity, so a reused buffer makes selection allocation-free.
+void SelectGranules(model::Placement placement, int64_t dbsize, int64_t ltot,
+                    int64_t nu, Rng& rng, std::vector<int64_t>* out);
 std::vector<int64_t> SelectGranules(model::Placement placement,
                                     int64_t dbsize, int64_t ltot, int64_t nu,
                                     Rng& rng);

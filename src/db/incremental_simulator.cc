@@ -167,8 +167,8 @@ Result<core::SimulationMetrics> IncrementalSimulator::Run() {
 void IncrementalSimulator::ContentionTick() {
   std::vector<std::pair<uint64_t, uint64_t>> edges;
   for (const auto& [waiter, granule] : table_->WaitingRequests()) {
-    for (lockmgr::TxnId holder : table_->Holders(granule)) {
-      if (holder != waiter) edges.emplace_back(waiter, holder);
+    for (const auto& holder : table_->Holders(granule)) {
+      if (holder.txn != waiter) edges.emplace_back(waiter, holder.txn);
     }
   }
   probe_.ContentionSample(std::move(edges), table_->LockedGranules());
@@ -182,8 +182,8 @@ IncrementalSimulator::Txn* IncrementalSimulator::CreateTransaction(
   txn->arrival_time = arrival_time;
   txn->mode =
       rng_.Bernoulli(options_.read_fraction) ? LockMode::kS : LockMode::kX;
-  txn->granules = SelectGranules(spec_.placement, cfg_.dbsize, cfg_.ltot,
-                                 txn->params.nu, rng_);
+  SelectGranules(spec_.placement, cfg_.dbsize, cfg_.ltot, txn->params.nu,
+                 rng_, &txn->granules);
   // Claim-as-needed acquires each lock when the data is first touched, so
   // the acquisition order follows the ACCESS order:
   //  * best placement models a sequential scan — scan order. The selected
@@ -275,11 +275,11 @@ void IncrementalSimulator::ResolveConflict(Txn* txn, int64_t granule) {
   // either nothing (no cycle) or the requester — a single iteration,
   // bit-identical to the engine's historical hard-coded check.
   while (!requester_gone && table_->IsQueued(txn->id)) {
-    ConflictDecision decision = policy_->OnBlock(req, *table_, dir);
-    MaybeInjectVictimFlip(seed_, &decision.victims);
-    if (decision.victims.empty()) break;
+    policy_->OnBlock(req, *table_, dir, &victims_);
+    MaybeInjectVictimFlip(seed_, &victims_);
+    if (victims_.empty()) break;
     bool progressed = false;
-    for (lockmgr::TxnId victim_id : decision.victims) {
+    for (lockmgr::TxnId victim_id : victims_) {
       auto it = txn_by_id_.find(victim_id);
       if (it == txn_by_id_.end()) {
         // Policies may only name live transactions (holders or waiters);
@@ -317,19 +317,16 @@ void IncrementalSimulator::ResolveConflict(Txn* txn, int64_t granule) {
     if (auto* prof = probe_.contention()) {
       // A genuine wait (not a victim abort): attribute it to the granule,
       // with the strongest mode held by the other holders (Supremum is
-      // order-insensitive, so the unordered holder scan is safe) and the
-      // length of the waits-for chain rebuilt from the table's queues
-      // (holder sets shift as grants move, so stored edges would go
-      // stale).
-      waits_for_ = BuildWaitsForGraph(*table_);
+      // order-insensitive) and the length of the waits-for chain rebuilt
+      // from the table's queues (holder sets shift as grants move, so
+      // stored edges would go stale).
       LockMode held = LockMode::kNL;
-      for (lockmgr::TxnId holder : table_->Holders(granule)) {
-        if (holder != txn->id) {
-          held = Supremum(held, table_->HeldMode(holder, granule));
-        }
+      for (const auto& holder : table_->Holders(granule)) {
+        if (holder.txn != txn->id) held = Supremum(held, holder.mode);
       }
       prof->OnBlock(txn->id, granule, txn->mode, held,
-                    waits_for_.ChainDepthFrom(txn->id), machine_.Now());
+                    BuildWaitsForGraph(*table_).ChainDepthFrom(txn->id),
+                    machine_.Now());
     }
   }
 }
@@ -399,9 +396,10 @@ void IncrementalSimulator::AbortTxn(Txn* txn, bool waiting) {
     prof->OnUnblock(txn->id, machine_.Now());
   }
   txn->doomed = false;
-  const std::vector<lockmgr::TxnId> granted = table_->Abort(txn->id);
+  grants_.clear();
+  table_->Abort(txn->id, &grants_);
   UpdateQueueStats();
-  HandleGrants(granted);
+  HandleGrants(grants_);
   if (sacrifice) {
     SacrificeTxn(txn);
     return;
@@ -483,7 +481,7 @@ void IncrementalSimulator::AdmissionTick() {
 }
 
 void IncrementalSimulator::HandleGrants(
-    const std::vector<lockmgr::TxnId>& granted) {
+    std::span<const lockmgr::TxnId> granted) {
   for (lockmgr::TxnId id : granted) {
     auto it = txn_by_id_.find(id);
     GRANULOCK_CHECK(it != txn_by_id_.end());
@@ -542,7 +540,8 @@ void IncrementalSimulator::OnStageDone(Txn* txn) {
 }
 
 void IncrementalSimulator::Complete(Txn* txn) {
-  const std::vector<lockmgr::TxnId> granted = table_->ReleaseAll(txn->id);
+  grants_.clear();
+  table_->ReleaseAll(txn->id, &grants_);
   --running_count_;
   const double now = machine_.Now();
   const double pu = static_cast<double>(txn->params.pu);
@@ -553,7 +552,7 @@ void IncrementalSimulator::Complete(Txn* txn) {
   probe_.Completed(txn->id, txn->arrival_time, txn->params.pu,
                    static_cast<int64_t>(txn->granules.size()));
   UpdateQueueStats();
-  HandleGrants(granted);
+  HandleGrants(grants_);
   // A completion frees an MPL slot; drain the admission queue into it
   // (no-op when the controller is disabled or nothing is parked).
   ReleaseAdmitted();

@@ -5,6 +5,7 @@
 #include <deque>
 #include <memory>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -15,7 +16,6 @@
 #include "core/txn_pool.h"
 #include "db/contention_policy.h"
 #include "lockmgr/wait_queue_table.h"
-#include "lockmgr/waits_for.h"
 #include "model/config.h"
 #include "obs/hooks.h"
 #include "sim/machine.h"
@@ -131,7 +131,7 @@ class IncrementalSimulator {
   /// Terminal abort: the transaction is destroyed and replaced by a
   /// fresh one so the closed system stays closed.
   void SacrificeTxn(Txn* txn);
-  void HandleGrants(const std::vector<lockmgr::TxnId>& granted);
+  void HandleGrants(std::span<const lockmgr::TxnId> granted);
   /// Starts `txn` immediately, or parks it in the admission queue when
   /// the controller is enabled (FIFO drain via ReleaseAdmitted).
   void AdmitOrHold(Txn* txn);
@@ -164,8 +164,12 @@ class IncrementalSimulator {
   core::TxnPool<Txn> txns_;
 
   std::unique_ptr<lockmgr::WaitQueueLockTable> table_;
-  lockmgr::WaitsForGraph waits_for_;
   std::unordered_map<lockmgr::TxnId, Txn*> txn_by_id_;
+  /// Reused buffers: the grants one release or abort reports, and the
+  /// victims one policy decision names. Engine callbacks never run inside
+  /// the table or a policy, so neither is refilled while it is read.
+  std::vector<lockmgr::TxnId> grants_;
+  std::vector<lockmgr::TxnId> victims_;
   int64_t waiting_count_ = 0;
   int64_t running_count_ = 0;
   /// Deadlock victims sleeping out their restart backoff (they hold no

@@ -7,10 +7,11 @@
 
 namespace granulock::sim {
 
-/// The FCFS job queue of `LockLane` and `PriorityServer`: a ring over a
-/// power-of-two array of default-initialized slots, which `push_back`
-/// assigns. It doubles when full and never shrinks, so once a queue has
-/// held its longest backlog, pushing and popping allocate nothing. (A
+/// The FCFS queue of `LockLane`, `PriorityServer` and the lock wait
+/// queues of `lockmgr::WaitQueueLockTable`: a ring over a power-of-two
+/// array of default-initialized slots, which `push_back` assigns. It
+/// doubles when full and never shrinks, so once a queue has held its
+/// longest backlog, pushing, popping and erasing allocate nothing. (A
 /// `std::deque` allocates and frees a node every few jobs as its window
 /// slides along.)
 template <typename T>
@@ -34,6 +35,16 @@ class FcfsRing {
   void pop_front() {
     slots_[head_] = T();
     head_ = (head_ + 1) & mask_;
+    --size_;
+  }
+
+  /// Removes the `i`th element from the front, keeping the order of the
+  /// rest (those behind it move up one place); `i < size()`.
+  void erase(size_t i) {
+    for (; i + 1 < size_; ++i) {
+      slots_[(head_ + i) & mask_] = std::move(slots_[(head_ + i + 1) & mask_]);
+    }
+    slots_[(head_ + size_ - 1) & mask_] = T();
     --size_;
   }
 

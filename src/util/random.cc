@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
+#include <limits>
 
 #include "util/logging.h"
 
@@ -81,23 +81,56 @@ double Rng::Exponential(double mean) {
   return -mean * std::log(NextDoubleOpenClosed());
 }
 
-std::vector<int64_t> Rng::SampleWithoutReplacement(int64_t n, int64_t k) {
+namespace {
+
+// Floyd's algorithm: for j = n-k .. n-1, add a uniform draw from [0, j],
+// or j itself when the draw is already chosen (j never is: every earlier
+// choice is < j). Exactly k draws give a uniform k-subset. The chosen set
+// is tested in an open-addressing table of at least 2k cells, empty = -1,
+// laid out in `out` behind the k chosen values.
+template <typename T>
+void FloydSample(Rng& rng, int64_t n, int64_t k, std::vector<T>* out) {
   GRANULOCK_CHECK_GE(k, 0);
   GRANULOCK_CHECK_LE(k, n);
-  // Floyd's algorithm: iterate j = n-k .. n-1, insert a uniform draw from
-  // [0, j], falling back to j itself on collision. Produces a uniform
-  // k-subset with exactly k insertions.
-  std::unordered_set<int64_t> chosen;
-  chosen.reserve(static_cast<size_t>(k));
+  GRANULOCK_CHECK_LE(n, std::numeric_limits<T>::max());
+  const size_t count = static_cast<size_t>(k);
+  int bits = 3;
+  while ((size_t{1} << bits) < 2 * count) ++bits;
+  const size_t mask = (size_t{1} << bits) - 1;
+  out->resize(count + mask + 1);
+  T* chosen = out->data();
+  T* cells = chosen + count;
+  std::fill(cells, cells + mask + 1, T{-1});
+  size_t size = 0;
+  const auto insert = [&](T value) {
+    const uint64_t hash = static_cast<uint64_t>(value) * 0x9e3779b97f4a7c15ull;
+    size_t i = static_cast<size_t>(hash >> (64 - bits));
+    for (; cells[i] != T{-1}; i = (i + 1) & mask) {
+      if (cells[i] == value) return false;
+    }
+    cells[i] = value;
+    chosen[size++] = value;
+    return true;
+  };
   for (int64_t j = n - k; j < n; ++j) {
-    int64_t t = UniformInt(0, j);
-    if (!chosen.insert(t).second) {
-      chosen.insert(j);
+    if (!insert(static_cast<T>(rng.UniformInt(0, j)))) {
+      insert(static_cast<T>(j));
     }
   }
-  std::vector<int64_t> out(chosen.begin(), chosen.end());
-  std::sort(out.begin(), out.end());
-  return out;
+  out->resize(count);
+  std::sort(out->begin(), out->end());
+}
+
+}  // namespace
+
+void Rng::SampleWithoutReplacement(int64_t n, int64_t k,
+                                   std::vector<int64_t>* out) {
+  FloydSample(*this, n, k, out);
+}
+
+void Rng::SampleWithoutReplacement(int64_t n, int64_t k,
+                                   std::vector<int32_t>* out) {
+  FloydSample(*this, n, k, out);
 }
 
 namespace {

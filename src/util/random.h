@@ -84,10 +84,16 @@ class Rng {
   /// Exponentially distributed value with the given mean (> 0).
   double Exponential(double mean);
 
-  /// Returns `k` distinct integers sampled uniformly from [0, n), in
-  /// ascending order. Requires 0 <= k <= n. Uses Floyd's algorithm, which is
-  /// O(k) expected time and does not allocate O(n) memory.
-  std::vector<int64_t> SampleWithoutReplacement(int64_t n, int64_t k);
+  /// Replaces `*out` with `k` distinct integers sampled uniformly from
+  /// [0, n), in ascending order. Requires 0 <= k <= n (and n within the
+  /// element type). Floyd's algorithm: exactly k `UniformInt` draws, a
+  /// hash-set membership test kept in `out`'s own spare capacity, and a
+  /// sort, so it is O(k log k) and allocates nothing once `out` has held
+  /// about 3k elements.
+  void SampleWithoutReplacement(int64_t n, int64_t k,
+                                std::vector<int64_t>* out);
+  void SampleWithoutReplacement(int64_t n, int64_t k,
+                                std::vector<int32_t>* out);
 
   /// Fisher–Yates shuffles `values` in place.
   template <typename T>

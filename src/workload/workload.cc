@@ -1,7 +1,5 @@
 #include "workload/workload.h"
 
-#include <algorithm>
-
 #include "util/logging.h"
 #include "util/strings.h"
 
@@ -85,9 +83,7 @@ TransactionParams GenerateTransaction(const model::SystemConfig& cfg,
       params.nodes[static_cast<size_t>(i)] = static_cast<int32_t>(i);
     }
   } else {
-    const std::vector<int64_t> chosen =
-        rng.SampleWithoutReplacement(cfg.npros, params.pu);
-    params.nodes.assign(chosen.begin(), chosen.end());
+    rng.SampleWithoutReplacement(cfg.npros, params.pu, &params.nodes);
   }
 
   params.io_demand = static_cast<double>(params.nu) * cfg.iotime;
@@ -96,31 +92,6 @@ TransactionParams GenerateTransaction(const model::SystemConfig& cfg,
   params.lock_cpu_demand = params.expected_locks * cfg.lcputime;
   return params;
 }
-
-namespace {
-
-// Floyd's k-subset sampler writing into a caller-owned buffer. Performs
-// the identical `UniformInt` draw sequence as
-// `Rng::SampleWithoutReplacement` (membership tests consume no
-// randomness), but tracks the chosen set in the output buffer itself — a
-// linear scan over at most `npros` elements — instead of a freshly
-// allocated hash set.
-void SampleNodesInto(Rng& rng, int64_t n, int64_t k,
-                     std::vector<int32_t>* out) {
-  out->clear();
-  for (int64_t j = n - k; j < n; ++j) {
-    const int64_t t = rng.UniformInt(0, j);
-    // `j` itself can never be present yet (every earlier element is < j),
-    // so the collision fallback always inserts.
-    const bool taken =
-        std::find(out->begin(), out->end(), static_cast<int32_t>(t)) !=
-        out->end();
-    out->push_back(static_cast<int32_t>(taken ? j : t));
-  }
-  std::sort(out->begin(), out->end());
-}
-
-}  // namespace
 
 TransactionFactory::TransactionFactory(const model::SystemConfig& cfg,
                                        const WorkloadSpec& spec)
@@ -160,7 +131,7 @@ void TransactionFactory::Generate(Rng& rng, TransactionParams* params) const {
       params->nodes[static_cast<size_t>(i)] = static_cast<int32_t>(i);
     }
   } else {
-    SampleNodesInto(rng, npros_, params->pu, &params->nodes);
+    rng.SampleWithoutReplacement(npros_, params->pu, &params->nodes);
   }
 
   params->io_demand = static_cast<double>(params->nu) * iotime_;

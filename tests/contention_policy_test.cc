@@ -77,6 +77,16 @@ class ScriptedDirectory : public TxnDirectory {
   std::vector<TxnId> doomed_;
 };
 
+/// The victims a fresh policy of `kind` names for `req`.
+std::vector<TxnId> Victims(ContentionPolicyKind kind,
+                           const ConflictRequest& req,
+                           const WaitQueueLockTable& table,
+                           const TxnDirectory& txns) {
+  std::vector<TxnId> victims{99};  // stale: OnBlock must replace it
+  MakeContentionPolicy(kind)->OnBlock(req, table, txns, &victims);
+  return victims;
+}
+
 struct CycleFixture {
   WaitQueueLockTable table{4};
   ScriptedDirectory txns;
@@ -100,10 +110,9 @@ struct CycleFixture {
 TEST(PolicyDecisionTest, DetectRequesterAbortsTheRequesterOnCycle) {
   CycleFixture fx;
   const ConflictRequest req = fx.Close(1, 2);
-  const auto decision =
-      MakeContentionPolicy(ContentionPolicyKind::kDetectRequester)
-          ->OnBlock(req, fx.table, fx.txns);
-  EXPECT_EQ(decision.victims, (std::vector<TxnId>{2}));
+  const auto decision = Victims(ContentionPolicyKind::kDetectRequester,
+                                req, fx.table, fx.txns);
+  EXPECT_EQ(decision, (std::vector<TxnId>{2}));
 }
 
 TEST(PolicyDecisionTest, DetectRequesterWaitsWhenNoCycle) {
@@ -113,10 +122,9 @@ TEST(PolicyDecisionTest, DetectRequesterWaitsWhenNoCycle) {
             WaitQueueLockTable::AcquireResult::kGranted);
   EXPECT_EQ(table.Acquire(2, 0, LockMode::kX),
             WaitQueueLockTable::AcquireResult::kQueued);
-  const auto decision =
-      MakeContentionPolicy(ContentionPolicyKind::kDetectRequester)
-          ->OnBlock({2, 0, LockMode::kX}, table, txns);
-  EXPECT_TRUE(decision.victims.empty());
+  const auto decision = Victims(ContentionPolicyKind::kDetectRequester,
+                                {2, 0, LockMode::kX}, table, txns);
+  EXPECT_TRUE(decision.empty());
 }
 
 TEST(PolicyDecisionTest, DetectFewestLocksPicksTheCheapestCycleMember) {
@@ -127,10 +135,9 @@ TEST(PolicyDecisionTest, DetectFewestLocksPicksTheCheapestCycleMember) {
   EXPECT_EQ(fx.table.Acquire(1, 2, LockMode::kX),
             WaitQueueLockTable::AcquireResult::kGranted);
   const ConflictRequest req = fx.Close(1, 2);
-  const auto decision =
-      MakeContentionPolicy(ContentionPolicyKind::kDetectFewestLocks)
-          ->OnBlock(req, fx.table, fx.txns);
-  EXPECT_EQ(decision.victims, (std::vector<TxnId>{2}));
+  const auto decision = Victims(ContentionPolicyKind::kDetectFewestLocks,
+                                req, fx.table, fx.txns);
+  EXPECT_EQ(decision, (std::vector<TxnId>{2}));
 
   // Mirror image: when the requester is the heavier one, the OTHER cycle
   // member is chosen — which the baseline policy never does.
@@ -138,10 +145,9 @@ TEST(PolicyDecisionTest, DetectFewestLocksPicksTheCheapestCycleMember) {
   EXPECT_EQ(fx2.table.Acquire(2, 2, LockMode::kX),
             WaitQueueLockTable::AcquireResult::kGranted);
   const ConflictRequest req2 = fx2.Close(1, 2);
-  const auto decision2 =
-      MakeContentionPolicy(ContentionPolicyKind::kDetectFewestLocks)
-          ->OnBlock(req2, fx2.table, fx2.txns);
-  EXPECT_EQ(decision2.victims, (std::vector<TxnId>{1}));
+  const auto decision2 = Victims(ContentionPolicyKind::kDetectFewestLocks,
+                                 req2, fx2.table, fx2.txns);
+  EXPECT_EQ(decision2, (std::vector<TxnId>{1}));
 }
 
 TEST(PolicyDecisionTest, DetectYoungestSparesTheMostRestartedMember) {
@@ -150,10 +156,9 @@ TEST(PolicyDecisionTest, DetectYoungestSparesTheMostRestartedMember) {
   // the youngest-by-restarts victim is txn 1.
   fx.txns.SetRestarts(2, 3);
   const ConflictRequest req = fx.Close(1, 2);
-  const auto decision =
-      MakeContentionPolicy(ContentionPolicyKind::kDetectYoungest)
-          ->OnBlock(req, fx.table, fx.txns);
-  EXPECT_EQ(decision.victims, (std::vector<TxnId>{1}));
+  const auto decision = Victims(ContentionPolicyKind::kDetectYoungest,
+                                req, fx.table, fx.txns);
+  EXPECT_EQ(decision, (std::vector<TxnId>{1}));
 }
 
 TEST(PolicyDecisionTest, WoundWaitOlderRequesterWoundsYoungerBlockers) {
@@ -164,9 +169,9 @@ TEST(PolicyDecisionTest, WoundWaitOlderRequesterWoundsYoungerBlockers) {
             WaitQueueLockTable::AcquireResult::kGranted);
   EXPECT_EQ(table.Acquire(2, 0, LockMode::kX),
             WaitQueueLockTable::AcquireResult::kQueued);
-  const auto wound = MakeContentionPolicy(ContentionPolicyKind::kWoundWait)
-                         ->OnBlock({2, 0, LockMode::kX}, table, txns);
-  EXPECT_EQ(wound.victims, (std::vector<TxnId>{5}));
+  const auto wound = Victims(ContentionPolicyKind::kWoundWait,
+                             {2, 0, LockMode::kX}, table, txns);
+  EXPECT_EQ(wound, (std::vector<TxnId>{5}));
 
   // Older txn 1 holds; younger txn 7 requests: 7 waits.
   WaitQueueLockTable table2(4);
@@ -174,9 +179,9 @@ TEST(PolicyDecisionTest, WoundWaitOlderRequesterWoundsYoungerBlockers) {
             WaitQueueLockTable::AcquireResult::kGranted);
   EXPECT_EQ(table2.Acquire(7, 0, LockMode::kX),
             WaitQueueLockTable::AcquireResult::kQueued);
-  const auto wait = MakeContentionPolicy(ContentionPolicyKind::kWoundWait)
-                        ->OnBlock({7, 0, LockMode::kX}, table2, txns);
-  EXPECT_TRUE(wait.victims.empty());
+  const auto wait = Victims(ContentionPolicyKind::kWoundWait,
+                            {7, 0, LockMode::kX}, table2, txns);
+  EXPECT_TRUE(wait.empty());
 }
 
 TEST(PolicyDecisionTest, WaitDieYoungerRequesterDies) {
@@ -187,9 +192,9 @@ TEST(PolicyDecisionTest, WaitDieYoungerRequesterDies) {
             WaitQueueLockTable::AcquireResult::kGranted);
   EXPECT_EQ(table.Acquire(9, 0, LockMode::kX),
             WaitQueueLockTable::AcquireResult::kQueued);
-  const auto die = MakeContentionPolicy(ContentionPolicyKind::kWaitDie)
-                       ->OnBlock({9, 0, LockMode::kX}, table, txns);
-  EXPECT_EQ(die.victims, (std::vector<TxnId>{9}));
+  const auto die = Victims(ContentionPolicyKind::kWaitDie,
+                           {9, 0, LockMode::kX}, table, txns);
+  EXPECT_EQ(die, (std::vector<TxnId>{9}));
 
   // Younger txn 8 holds; older txn 2 requests: 2 waits.
   WaitQueueLockTable table2(4);
@@ -197,9 +202,9 @@ TEST(PolicyDecisionTest, WaitDieYoungerRequesterDies) {
             WaitQueueLockTable::AcquireResult::kGranted);
   EXPECT_EQ(table2.Acquire(2, 0, LockMode::kX),
             WaitQueueLockTable::AcquireResult::kQueued);
-  const auto wait = MakeContentionPolicy(ContentionPolicyKind::kWaitDie)
-                        ->OnBlock({2, 0, LockMode::kX}, table2, txns);
-  EXPECT_TRUE(wait.victims.empty());
+  const auto wait = Victims(ContentionPolicyKind::kWaitDie,
+                            {2, 0, LockMode::kX}, table2, txns);
+  EXPECT_TRUE(wait.empty());
 }
 
 TEST(PolicyDecisionTest, WaitDepthAbortsRequesterBlockedOnABlockedHolder) {
@@ -216,9 +221,9 @@ TEST(PolicyDecisionTest, WaitDepthAbortsRequesterBlockedOnABlockedHolder) {
             WaitQueueLockTable::AcquireResult::kQueued);  // 1 is now blocked
   EXPECT_EQ(table.Acquire(3, 0, LockMode::kX),
             WaitQueueLockTable::AcquireResult::kQueued);  // 3 waits on 1
-  const auto decision = MakeContentionPolicy(ContentionPolicyKind::kWaitDepth)
-                            ->OnBlock({3, 0, LockMode::kX}, table, txns);
-  EXPECT_EQ(decision.victims, (std::vector<TxnId>{3}));
+  const auto decision = Victims(ContentionPolicyKind::kWaitDepth,
+                                {3, 0, LockMode::kX}, table, txns);
+  EXPECT_EQ(decision, (std::vector<TxnId>{3}));
 }
 
 TEST(PolicyDecisionTest, WaitDepthAllowsDepthOneWaits) {
@@ -230,9 +235,9 @@ TEST(PolicyDecisionTest, WaitDepthAllowsDepthOneWaits) {
             WaitQueueLockTable::AcquireResult::kGranted);
   EXPECT_EQ(table.Acquire(2, 0, LockMode::kX),
             WaitQueueLockTable::AcquireResult::kQueued);
-  const auto decision = MakeContentionPolicy(ContentionPolicyKind::kWaitDepth)
-                            ->OnBlock({2, 0, LockMode::kX}, table, txns);
-  EXPECT_TRUE(decision.victims.empty());
+  const auto decision = Victims(ContentionPolicyKind::kWaitDepth,
+                                {2, 0, LockMode::kX}, table, txns);
+  EXPECT_TRUE(decision.empty());
 }
 
 TEST(PolicyDecisionTest, PoliciesSkipDoomedBlockers) {
@@ -245,9 +250,9 @@ TEST(PolicyDecisionTest, PoliciesSkipDoomedBlockers) {
   EXPECT_EQ(table.Acquire(2, 0, LockMode::kX),
             WaitQueueLockTable::AcquireResult::kQueued);
   txns.Doom(5);
-  const auto decision = MakeContentionPolicy(ContentionPolicyKind::kWoundWait)
-                            ->OnBlock({2, 0, LockMode::kX}, table, txns);
-  EXPECT_TRUE(decision.victims.empty());
+  const auto decision = Victims(ContentionPolicyKind::kWoundWait,
+                                {2, 0, LockMode::kX}, table, txns);
+  EXPECT_TRUE(decision.empty());
 }
 
 TEST(BlockersOfTest, IncludesHoldersAndFifoPredecessors) {
@@ -258,8 +263,8 @@ TEST(BlockersOfTest, IncludesHoldersAndFifoPredecessors) {
             WaitQueueLockTable::AcquireResult::kQueued);
   EXPECT_EQ(table.Acquire(3, 0, LockMode::kX),
             WaitQueueLockTable::AcquireResult::kQueued);
-  std::vector<TxnId> blockers = BlockersOf({3, 0, LockMode::kX}, table);
-  std::sort(blockers.begin(), blockers.end());
+  std::vector<TxnId> blockers{7};  // stale: BlockersOf replaces it
+  BlockersOf({3, 0, LockMode::kX}, table, &blockers);
   EXPECT_EQ(blockers, (std::vector<TxnId>{1, 2}));
 }
 

@@ -63,8 +63,12 @@ struct AuditTestPeer {
     return HierarchicalLockManager::KeyOf(object);
   }
   static auto& Granules(WaitQueueLockTable& t) { return t.granules_; }
-  static auto& HeldByTxn(WaitQueueLockTable& t) { return t.held_by_txn_; }
-  static auto& QueuedOn(WaitQueueLockTable& t) { return t.queued_on_; }
+  /// The slot of `txn`, which is given one when it has none.
+  static auto& Slot(WaitQueueLockTable& t, TxnId txn) {
+    uint32_t slot = t.FindSlot(txn);
+    if (slot == WaitQueueLockTable::kNoSlot) slot = t.AddSlot(txn);
+    return t.slots_[slot];
+  }
   static auto& WaitingCount(WaitQueueLockTable& t) {
     return t.waiting_count_;
   }
@@ -529,7 +533,7 @@ TEST(WaitQueueAuditTest, FiresOnMissedGrant) {
   // so the drain-on-release discipline must have missed a grant.
   auto& state = lockmgr::AuditTestPeer::Granules(table)[4];
   state.queue.push_back({7, LockMode::kS});
-  lockmgr::AuditTestPeer::QueuedOn(table)[7] = 4;
+  lockmgr::AuditTestPeer::Slot(table, 7).queued_on = 4;
   ++lockmgr::AuditTestPeer::WaitingCount(table);
 
   ScopedFailureCapture capture;
@@ -542,12 +546,51 @@ TEST(WaitQueueAuditTest, FiresOnQueueMembershipMismatch) {
   lockmgr::WaitQueueLockTable table(10);
   table.Acquire(1, 0, LockMode::kX);
   table.Acquire(2, 0, LockMode::kX);  // queued on granule 0
-  // The reverse map claims txn 2 waits on granule 5 instead.
-  lockmgr::AuditTestPeer::QueuedOn(table)[2] = 5;
+  // Txn 2's slot claims it waits on granule 5 instead.
+  lockmgr::AuditTestPeer::Slot(table, 2).queued_on = 5;
 
   ScopedFailureCapture capture;
   table.CheckConsistency();
   EXPECT_GT(capture.count(), 0);
+}
+
+TEST(WaitQueueAuditTest, FiresOnWaiterQueuedTwice) {
+  lockmgr::WaitQueueLockTable table(10);
+  table.Acquire(1, 0, LockMode::kX);
+  table.Acquire(2, 0, LockMode::kX);  // queued on granule 0
+  // A second queue entry for txn 2, with the count kept in step.
+  lockmgr::AuditTestPeer::Granules(table)[0].queue.push_back(
+      {2, LockMode::kX});
+  ++lockmgr::AuditTestPeer::WaitingCount(table);
+
+  ScopedFailureCapture capture;
+  table.CheckConsistency();
+  EXPECT_GT(capture.count(), 0);
+}
+
+TEST(WaitQueueAuditTest, FiresOnHolderMissingFromItsSlot) {
+  lockmgr::WaitQueueLockTable table(10);
+  table.Acquire(1, 0, LockMode::kX);
+  table.Acquire(1, 3, LockMode::kS);
+  // Granule 3 still lists txn 1 as a holder, but its slot forgets it.
+  lockmgr::AuditTestPeer::Slot(table, 1).held.pop_back();
+
+  ScopedFailureCapture capture;
+  table.CheckConsistency();
+  EXPECT_GT(capture.count(), 0);
+}
+
+TEST(WaitQueueAuditTest, FiresOnIdleSlotThatIsNotFree) {
+  lockmgr::WaitQueueLockTable table(10);
+  table.Acquire(1, 0, LockMode::kX);
+  // Txn 4 gets a slot but holds and waits for nothing: a leaked slot.
+  lockmgr::AuditTestPeer::Slot(table, 4);
+
+  ScopedFailureCapture capture;
+  table.CheckConsistency();
+  EXPECT_GT(capture.count(), 0);
+  EXPECT_NE(capture.last_message().find("waits for nothing"),
+            std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
@@ -665,7 +708,7 @@ TEST_F(EngineAuditTest, IncrementalEngineDetectsALeakedLock) {
   ASSERT_TRUE(engine.Run().ok());
   lockmgr::WaitQueueLockTable& table = db::AuditTestPeer::Table(engine);
   int64_t granule = 0;
-  while (!table.Holders(granule).empty()) ++granule;
+  while (granule < cfg.ltot && !table.Holders(granule).empty()) ++granule;
   ASSERT_LT(granule, cfg.ltot);
   const lockmgr::TxnId dead = ~lockmgr::TxnId{0};
   ASSERT_EQ(table.Acquire(dead, granule, LockMode::kX),

@@ -258,19 +258,28 @@ TEST(WaitQueueAbortEdgeTest, AbortWhileQueuedAndHoldingReleasesBoth) {
 // Policy-facing accessors: the contention policies pick victims from
 // exactly these views, so their edge semantics are contractual.
 
+/// The transactions `ForEachWaiterAhead` visits, in visiting order.
+std::vector<TxnId> WaitersAhead(const WaitQueueLockTable& table, TxnId txn,
+                                int64_t granule) {
+  std::vector<TxnId> ahead;
+  table.ForEachWaiterAhead(txn, granule,
+                           [&ahead](TxnId waiter) { ahead.push_back(waiter); });
+  return ahead;
+}
+
 TEST(PolicyAccessorTest, WaitersAheadReportsFifoPrefix) {
   WaitQueueLockTable table(4);
   EXPECT_EQ(table.Acquire(1, 0, LockMode::kX), AcquireResult::kGranted);
   EXPECT_EQ(table.Acquire(2, 0, LockMode::kX), AcquireResult::kQueued);
   EXPECT_EQ(table.Acquire(3, 0, LockMode::kX), AcquireResult::kQueued);
   EXPECT_EQ(table.Acquire(4, 0, LockMode::kX), AcquireResult::kQueued);
-  EXPECT_TRUE(table.WaitersAhead(2, 0).empty());
-  EXPECT_EQ(table.WaitersAhead(3, 0), (std::vector<TxnId>{2}));
-  EXPECT_EQ(table.WaitersAhead(4, 0), (std::vector<TxnId>{2, 3}));
+  EXPECT_TRUE(WaitersAhead(table, 2, 0).empty());
+  EXPECT_EQ(WaitersAhead(table, 3, 0), (std::vector<TxnId>{2}));
+  EXPECT_EQ(WaitersAhead(table, 4, 0), (std::vector<TxnId>{2, 3}));
   // Not queued there (or at all): empty, not a crash.
-  EXPECT_TRUE(table.WaitersAhead(1, 0).empty());
-  EXPECT_TRUE(table.WaitersAhead(4, 1).empty());
-  EXPECT_TRUE(table.WaitersAhead(99, 0).empty());
+  EXPECT_TRUE(WaitersAhead(table, 1, 0).empty());
+  EXPECT_TRUE(WaitersAhead(table, 4, 1).empty());
+  EXPECT_TRUE(WaitersAhead(table, 99, 0).empty());
 }
 
 TEST(PolicyAccessorTest, HasOtherWaitersOnHeldGranules) {

@@ -7,10 +7,13 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <utility>
 #include <vector>
 
+#include "db/contention_policy.h"
 #include "lockmgr/hierarchical.h"
 #include "lockmgr/wait_queue_table.h"
+#include "sim/invariants.h"
 #include "util/random.h"
 
 namespace granulock::lockmgr {
@@ -47,7 +50,8 @@ TEST_P(HierFuzzTest, LeafRequestsMatchLeafLevelTruth) {
     if (rng.Bernoulli(0.65)) {
       // New transaction requests a random granule set in S or X.
       const int64_t k = rng.UniformInt(1, 6);
-      const auto granules = rng.SampleWithoutReplacement(kGranules, k);
+      std::vector<int64_t> granules;
+      rng.SampleWithoutReplacement(kGranules, k, &granules);
       const LockMode mode = rng.Bernoulli(0.5) ? LockMode::kX : LockMode::kS;
       std::vector<HierRequest> requests;
       for (int64_t g : granules) {
@@ -192,6 +196,267 @@ TEST_P(WaitQueueFuzzTest, FifoGrantSemanticsMatchReference) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WaitQueueFuzzTest,
+                         ::testing::Values<uint64_t>(1, 2, 3, 4, 5, 6));
+
+// ---------------------------------------------------------------------
+// Wait-queue table vs a reference model where cycles form: transactions
+// claim several granules one at a time in S or X, some upgrade an S lock
+// to X, and they keep what they hold while they wait. After every
+// operation the grants, every granule's holders (order and mode) and
+// queue, and the wait count must match the model, the audit must pass,
+// and for every waiter the table's cycle walk must agree with a search
+// of the rebuilt waits-for graph.
+// ---------------------------------------------------------------------
+
+/// The wait-queue discipline stated over plain containers.
+class QueueModel {
+ public:
+  using Entry = std::pair<TxnId, LockMode>;
+
+  explicit QueueModel(int64_t granules)
+      : holders_(static_cast<size_t>(granules)),
+        queues_(static_cast<size_t>(granules)) {}
+
+  bool Acquire(TxnId txn, int64_t g, LockMode mode) {
+    const LockMode held = HeldMode(txn, g);
+    if (held != LockMode::kNL && Covers(held, mode)) return true;
+    if (Queue(g).empty() && Grantable(g, txn, mode)) {
+      Grant(g, txn, mode);
+      return true;
+    }
+    MutableQueue(g).emplace_back(txn, mode);
+    queued_on_[txn] = g;
+    return false;
+  }
+
+  std::vector<TxnId> ReleaseAll(TxnId txn) {
+    std::vector<TxnId> granted;
+    Release(txn, &granted);
+    return granted;
+  }
+
+  std::vector<TxnId> Abort(TxnId txn) {
+    std::vector<TxnId> granted;
+    auto it = queued_on_.find(txn);
+    if (it != queued_on_.end()) {
+      const int64_t g = it->second;
+      queued_on_.erase(it);
+      auto& queue = MutableQueue(g);
+      queue.erase(std::find_if(queue.begin(), queue.end(),
+                               [txn](const Entry& e) { return e.first == txn; }));
+      Drain(g, &granted);
+    }
+    Release(txn, &granted);
+    return granted;
+  }
+
+  LockMode HeldMode(TxnId txn, int64_t g) const {
+    for (const auto& [holder, mode] : holders_[static_cast<size_t>(g)]) {
+      if (holder == txn) return mode;
+    }
+    return LockMode::kNL;
+  }
+  const std::vector<Entry>& Holders(int64_t g) const {
+    return holders_[static_cast<size_t>(g)];
+  }
+  const std::vector<Entry>& Queue(int64_t g) const {
+    return queues_[static_cast<size_t>(g)];
+  }
+  bool IsQueued(TxnId txn) const { return queued_on_.contains(txn); }
+  int64_t HeldCount(TxnId txn) const {
+    auto it = held_.find(txn);
+    return it == held_.end() ? 0 : static_cast<int64_t>(it->second.size());
+  }
+  int64_t WaitingCount() const {
+    return static_cast<int64_t>(queued_on_.size());
+  }
+  const std::map<TxnId, int64_t>& queued_on() const { return queued_on_; }
+
+ private:
+  std::vector<Entry>& MutableQueue(int64_t g) {
+    return queues_[static_cast<size_t>(g)];
+  }
+  bool Grantable(int64_t g, TxnId txn, LockMode mode) const {
+    for (const auto& [holder, held] : Holders(g)) {
+      if (holder != txn && !Compatible(held, mode)) return false;
+    }
+    return true;
+  }
+  void Grant(int64_t g, TxnId txn, LockMode mode) {
+    for (auto& [holder, held] : holders_[static_cast<size_t>(g)]) {
+      if (holder == txn) {
+        held = Supremum(held, mode);
+        return;
+      }
+    }
+    holders_[static_cast<size_t>(g)].emplace_back(txn, mode);
+    held_[txn].push_back(g);
+  }
+  void Drain(int64_t g, std::vector<TxnId>* granted) {
+    auto& queue = MutableQueue(g);
+    while (!queue.empty() &&
+           Grantable(g, queue.front().first, queue.front().second)) {
+      const Entry front = queue.front();
+      queue.erase(queue.begin());
+      queued_on_.erase(front.first);
+      Grant(g, front.first, front.second);
+      granted->push_back(front.first);
+    }
+  }
+  void Release(TxnId txn, std::vector<TxnId>* granted) {
+    auto it = held_.find(txn);
+    if (it == held_.end()) return;
+    const std::vector<int64_t> held = std::move(it->second);
+    held_.erase(it);
+    for (const int64_t g : held) {
+      auto& holders = holders_[static_cast<size_t>(g)];
+      holders.erase(std::find_if(
+          holders.begin(), holders.end(),
+          [txn](const Entry& e) { return e.first == txn; }));
+      Drain(g, granted);
+    }
+  }
+
+  std::vector<std::vector<Entry>> holders_;  // grant order
+  std::vector<std::vector<Entry>> queues_;   // FIFO
+  std::map<TxnId, std::vector<int64_t>> held_;
+  std::map<TxnId, int64_t> queued_on_;
+};
+
+class WaitQueueCycleFuzzTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(WaitQueueCycleFuzzTest, MultiGranuleClaimsMatchModelAndGraph) {
+  constexpr int64_t kGranules = 8;
+  constexpr size_t kMaxLive = 9;
+  WaitQueueLockTable table(kGranules);
+  QueueModel model(kGranules);
+  WaitQueueLockTable::CycleWalk walk;
+  Rng rng(GetParam());
+  sim::invariants::ScopedFailureCapture audit;
+
+  /// A live transaction: its claims in order, and how far it got.
+  struct Claimer {
+    std::vector<std::pair<int64_t, LockMode>> plan;
+    size_t next = 0;
+    bool queued = false;
+  };
+  std::map<TxnId, Claimer> live;
+  TxnId next_txn = 1;
+  int64_t cycles = 0;
+  int64_t upgrades = 0;
+  int64_t shared = 0;
+  int64_t queued_grants = 0;
+
+  auto start = [&] {
+    Claimer c;
+    std::vector<int64_t> granules;
+    rng.SampleWithoutReplacement(kGranules, rng.UniformInt(1, 4), &granules);
+    rng.Shuffle(granules);
+    for (const int64_t g : granules) {
+      c.plan.emplace_back(g, rng.Bernoulli(0.5) ? LockMode::kS : LockMode::kX);
+    }
+    // Re-claim an earlier granule: an upgrade to X, or a covered S.
+    if (rng.Bernoulli(0.5)) {
+      const auto& [g, mode] = c.plan[static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(c.plan.size()) - 1))];
+      c.plan.emplace_back(g, rng.Bernoulli(0.8) ? LockMode::kX : LockMode::kS);
+    }
+    live.emplace(next_txn++, std::move(c));
+  };
+  auto apply_grants = [&](const std::vector<TxnId>& granted) {
+    queued_grants += static_cast<int64_t>(granted.size());
+    for (const TxnId id : granted) {
+      Claimer& c = live.at(id);
+      c.queued = false;
+      ++c.next;
+    }
+  };
+  auto pick = [&] {
+    auto it = live.begin();
+    std::advance(it, rng.UniformInt(0, static_cast<int64_t>(live.size()) - 1));
+    return it;
+  };
+
+  for (int step = 0; step < 3000; ++step) {
+    std::vector<TxnId> granted;
+    if (live.size() < kMaxLive && rng.Bernoulli(0.2)) {
+      start();
+      continue;
+    }
+    if (live.empty()) continue;
+    auto it = pick();
+    const TxnId txn = it->first;
+    Claimer& c = it->second;
+    if ((c.queued && rng.Bernoulli(0.3)) ||
+        (!c.queued && rng.Bernoulli(0.05))) {
+      const auto expected = model.Abort(txn);
+      table.Abort(txn, &granted);
+      ASSERT_EQ(granted, expected) << "step " << step;
+      live.erase(it);
+    } else if (c.queued) {
+      continue;  // keeps waiting
+    } else if (c.next == c.plan.size()) {
+      const auto expected = model.ReleaseAll(txn);
+      table.ReleaseAll(txn, &granted);
+      ASSERT_EQ(granted, expected) << "step " << step;
+      live.erase(it);
+    } else {
+      const auto [g, mode] = c.plan[c.next];
+      const LockMode before = table.HeldMode(txn, g);
+      const bool expect_grant = model.Acquire(txn, g, mode);
+      const auto result = table.Acquire(txn, g, mode);
+      ASSERT_EQ(result == WaitQueueLockTable::AcquireResult::kGranted,
+                expect_grant)
+          << "step " << step;
+      if (before == LockMode::kS && mode == LockMode::kX) ++upgrades;
+      if (expect_grant) {
+        if (mode == LockMode::kS && table.Holders(g).size() > 1) ++shared;
+        ++c.next;
+      } else {
+        c.queued = true;
+      }
+    }
+    apply_grants(granted);
+
+    // The whole table against the model.
+    ASSERT_EQ(table.WaitingCount(), model.WaitingCount()) << "step " << step;
+    for (int64_t g = 0; g < kGranules; ++g) {
+      std::vector<QueueModel::Entry> holders;
+      for (const auto& h : table.Holders(g)) holders.emplace_back(h.txn, h.mode);
+      ASSERT_EQ(holders, model.Holders(g)) << "step " << step << " g " << g;
+    }
+    for (const auto& [id, claimer] : live) {
+      ASSERT_EQ(table.IsQueued(id), model.IsQueued(id)) << "step " << step;
+      ASSERT_EQ(table.HeldCount(id), model.HeldCount(id)) << "step " << step;
+    }
+    const lockmgr::WaitsForGraph graph = db::BuildWaitsForGraph(table);
+    for (const auto& [waiter, g] : model.queued_on()) {
+      std::vector<TxnId> ahead;
+      table.ForEachWaiterAhead(waiter, g,
+                               [&ahead](TxnId w) { ahead.push_back(w); });
+      std::vector<TxnId> expected_ahead;
+      for (const auto& [w, mode] : model.Queue(g)) {
+        if (w == waiter) break;
+        expected_ahead.push_back(w);
+      }
+      ASSERT_EQ(ahead, expected_ahead) << "step " << step;
+      const bool on_cycle = !graph.FindCycleFrom(waiter).empty();
+      ASSERT_EQ(table.OnWaitsForCycle(waiter, &walk), on_cycle)
+          << "step " << step << " waiter " << waiter;
+      if (on_cycle) ++cycles;
+    }
+    table.CheckConsistency();
+    ASSERT_EQ(audit.count(), 0) << "step " << step << ": "
+                                << audit.last_message();
+  }
+  // The run reached the shapes this test is for.
+  EXPECT_GT(cycles, 0);
+  EXPECT_GT(upgrades, 0);
+  EXPECT_GT(shared, 0);
+  EXPECT_GT(queued_grants, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, WaitQueueCycleFuzzTest,
                          ::testing::Values<uint64_t>(1, 2, 3, 4, 5, 6));
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <utility>
 #include <vector>
 
@@ -217,6 +218,32 @@ TEST(FcfsRingTest, KeepsFifoOrderAcrossWrapAndGrowth) {
   std::vector<int> expected(15);
   for (int i = 0; i < 15; ++i) expected[static_cast<size_t>(i)] = i;
   EXPECT_EQ(fired, expected);
+}
+
+TEST(FcfsRingTest, EraseKeepsTheOrderOfTheRestAcrossWrap) {
+  FcfsRing<int> ring;
+  std::vector<int> model;
+  // Wrap the front past the end of the array, then erase from the front,
+  // the middle (across the wrap) and the back, growing in between.
+  for (int i = 0; i < 6; ++i) ring.push_back(int{i});
+  for (int i = 0; i < 5; ++i) ring.pop_front();
+  model.push_back(5);
+  for (int i = 6; i < 12; ++i) {
+    ring.push_back(int{i});
+    model.push_back(i);
+  }
+  for (const size_t at : {size_t{0}, size_t{3}, size_t{4}}) {
+    ring.erase(at);
+    model.erase(model.begin() + static_cast<std::ptrdiff_t>(at));
+    for (int i = 0; i < 3; ++i) {
+      ring.push_back(100 + static_cast<int>(model.size()));
+      model.push_back(100 + static_cast<int>(model.size()));
+    }
+  }
+  ring.erase(ring.size() - 1);
+  model.pop_back();
+  ASSERT_EQ(ring.size(), model.size());
+  for (size_t i = 0; i < model.size(); ++i) EXPECT_EQ(ring[i], model[i]);
 }
 
 }  // namespace

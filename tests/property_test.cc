@@ -260,7 +260,8 @@ TEST_P(LockTableFuzzTest, RandomizedSequencesStayConsistent) {
     if (next_txn < 200 && rng.Bernoulli(0.6)) {
       // Try to acquire a random set for a new transaction.
       const int64_t k = rng.UniformInt(1, 8);
-      const auto granules = rng.SampleWithoutReplacement(kGranules, k);
+      std::vector<int64_t> granules;
+      rng.SampleWithoutReplacement(kGranules, k, &granules);
       std::vector<lockmgr::LockRequest> reqs;
       bool expect_conflict = false;
       for (int64_t g : granules) {

@@ -123,8 +123,9 @@ TEST(RngTest, ExponentialMeanMatches) {
 
 TEST(RngTest, SampleWithoutReplacementBasicProperties) {
   Rng rng(17);
+  std::vector<int64_t> sample;
   for (int trial = 0; trial < 100; ++trial) {
-    auto sample = rng.SampleWithoutReplacement(50, 10);
+    rng.SampleWithoutReplacement(50, 10, &sample);
     ASSERT_EQ(sample.size(), 10u);
     ASSERT_TRUE(std::is_sorted(sample.begin(), sample.end()));
     ASSERT_TRUE(std::adjacent_find(sample.begin(), sample.end()) ==
@@ -138,29 +139,62 @@ TEST(RngTest, SampleWithoutReplacementBasicProperties) {
 
 TEST(RngTest, SampleWithoutReplacementFullSet) {
   Rng rng(19);
-  auto sample = rng.SampleWithoutReplacement(10, 10);
+  std::vector<int64_t> sample;
+  rng.SampleWithoutReplacement(10, 10, &sample);
   ASSERT_EQ(sample.size(), 10u);
   for (int64_t i = 0; i < 10; ++i) EXPECT_EQ(sample[static_cast<size_t>(i)], i);
 }
 
 TEST(RngTest, SampleWithoutReplacementEmpty) {
   Rng rng(19);
-  EXPECT_TRUE(rng.SampleWithoutReplacement(10, 0).empty());
+  std::vector<int64_t> sample{4, 2};  // replaced, not appended to
+  rng.SampleWithoutReplacement(10, 0, &sample);
+  EXPECT_TRUE(sample.empty());
 }
 
 TEST(RngTest, SampleWithoutReplacementIsUniform) {
   // Each element of [0,10) should appear in a 5-subset with p = 0.5.
   Rng rng(23);
   std::vector<int> counts(10, 0);
+  std::vector<int64_t> sample;
   const int trials = 20000;
   for (int t = 0; t < trials; ++t) {
-    for (int64_t v : rng.SampleWithoutReplacement(10, 5)) {
-      counts[static_cast<size_t>(v)]++;
-    }
+    rng.SampleWithoutReplacement(10, 5, &sample);
+    for (int64_t v : sample) counts[static_cast<size_t>(v)]++;
   }
   for (int c : counts) {
     EXPECT_NEAR(static_cast<double>(c) / trials, 0.5, 0.02);
   }
+}
+
+TEST(RngTest, SampleWithoutReplacementMatchesFloydDrawForDraw) {
+  // Textbook Floyd over a std::set: the sampler must choose the same set
+  // from the same draws, for both element types and a reused buffer, and
+  // leave the stream where the textbook version does.
+  const auto reference = [](Rng& rng, int64_t n, int64_t k) {
+    std::set<int64_t> chosen;
+    for (int64_t j = n - k; j < n; ++j) {
+      if (!chosen.insert(rng.UniformInt(0, j)).second) chosen.insert(j);
+    }
+    return std::vector<int64_t>(chosen.begin(), chosen.end());
+  };
+  Rng rng(31);
+  Rng ref(31);
+  std::vector<int64_t> wide;
+  std::vector<int32_t> narrow;
+  for (const auto& [n, k] : std::vector<std::pair<int64_t, int64_t>>{
+           {1, 1}, {30, 7}, {100, 20}, {5000, 250}, {5000, 500},
+           {64, 64}, {12, 3}}) {
+    for (int round = 0; round < 20; ++round) {
+      rng.SampleWithoutReplacement(n, k, &wide);
+      ASSERT_EQ(wide, reference(ref, n, k)) << n << " " << k;
+      rng.SampleWithoutReplacement(n, k, &narrow);
+      ASSERT_EQ(std::vector<int64_t>(narrow.begin(), narrow.end()),
+                reference(ref, n, k))
+          << n << " " << k;
+    }
+  }
+  EXPECT_EQ(rng.NextUint64(), ref.NextUint64());
 }
 
 TEST(RngTest, ShuffleIsAPermutation) {
