@@ -24,6 +24,7 @@
 
 #include "bench/bench_common.h"
 #include "db/explicit_simulator.h"
+#include "util/strings.h"
 
 int main(int argc, char** argv) {
   using namespace granulock;
@@ -44,7 +45,8 @@ int main(int argc, char** argv) {
   args.Apply(&fp_cfg);
   grid.fingerprint = bench::RunFingerprint(
       grid.experiment_id, args,
-      "|" + fp_cfg.ToString() + ";base_workload;explicit_table");
+      StrFormat("|%s;base_workload;explicit_table",
+                fp_cfg.ToString().c_str()));
   const std::vector<int64_t> lock_counts =
       core::StandardLockSweep(base.dbsize);
   for (size_t p = 0; p < lock_counts.size(); ++p) {

@@ -23,6 +23,7 @@
 
 #include "bench/bench_common.h"
 #include "db/explicit_simulator.h"
+#include "util/strings.h"
 
 int main(int argc, char** argv) {
   using namespace granulock;
@@ -62,8 +63,8 @@ int main(int argc, char** argv) {
   args.Apply(&fp_cfg);
   grid.fingerprint = bench::RunFingerprint(
       grid.experiment_id, args,
-      "|" + fp_cfg.ToString() + ";" + spec.Describe() +
-          ";mgl_threshold=250;escalation=20;files=50");
+      StrFormat("|%s;%s;mgl_threshold=250;escalation=20;files=50",
+                fp_cfg.ToString().c_str(), spec.Describe().c_str()));
   const std::vector<int64_t> sweep = core::StandardLockSweep(base.dbsize);
   for (size_t p = 0; p < sweep.size(); ++p) {
     model::SystemConfig cfg = base;

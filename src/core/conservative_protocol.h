@@ -35,18 +35,20 @@ namespace granulock::core {
 ///     is processed: `params.lock_io_demand` of I/O then
 ///     `params.lock_cpu_demand` of CPU, shared equally by all nodes and
 ///     served at preemptive priority over transaction work. The cost is
-///     paid whether or not the locks are granted.
+///     paid whether or not the locks are granted. A transaction with no
+///     locks to set (`params.lu == 0`) makes no request and goes straight
+///     to step 3.
 ///  2. The engine decides the request. A refused transaction waits on its
 ///     blocker until the blocker completes, then re-enters the pending
 ///     queue (and pays the lock cost again).
-///  3. A granted transaction splits into `PU` sub-transactions on distinct
-///     nodes (all nodes under horizontal partitioning), each performing
-///     `NU/PU` entities' worth of I/O then CPU in its node's FCFS queues
-///     (`ForkJoin`).
-///  4. When the last sub-transaction finishes, the transaction completes,
-///     releases its locks and its blocked transactions, and is replaced by
-///     a fresh transaction with new random parameters after the terminal's
-///     think time (0 in the paper's model).
+///  3. A granted transaction runs its execution step. By default it splits
+///     into `PU` sub-transactions on distinct nodes (all nodes under
+///     horizontal partitioning), each performing `NU/PU` entities' worth
+///     of I/O then CPU in its node's FCFS queues (`ForkJoin`).
+///  4. When the step finishes, the transaction completes, releases its
+///     locks and its blocked transactions, and is replaced by a fresh
+///     transaction with new random parameters after the terminal's think
+///     time (0 in the paper's model).
 ///
 /// Deadlock is impossible: all locks are requested up front, so only lock
 /// holders block others and the waits-for relation has depth one.
@@ -66,6 +68,11 @@ namespace granulock::core {
 ///  - `int64_t LockedGranules() const`: lock occupancy for the profiler.
 ///  - `void CheckConsistency() const`: the deep audit at every quiescent
 ///    point; it starts with this protocol's `CheckConsistency`.
+///  - Optional `void Execute(Txn*)`: the engine's own execution step in
+///    place of `ForkJoin`, chosen at compile time. It keeps between 1 and
+///    `params.pu` jobs outstanding in `subtxns_remaining` and calls
+///    `Complete` when the work is done. Such an engine records no phase
+///    decomposition beyond its pending and lock-wait spans.
 ///
 /// `Txn` provides what `ForkJoin` and `TxnPool` need, plus `arrival_time`
 /// and `blocked` (the transactions it blocks).
@@ -138,7 +145,7 @@ class ConservativeProtocol {
       Txn* txn = pending_.front();
       pending_.pop_front();
       UpdateQueueStats();
-      BeginLockRequest(txn);
+      LeavePending(txn);
     }
     if (sim::invariants::DeepAuditEnabled()) engine_->CheckConsistency();
   }
@@ -147,7 +154,7 @@ class ConservativeProtocol {
   /// live transaction is pending, paying lock cost, blocked behind an
   /// active transaction, or active; the blocked count matches the
   /// blockers' lists; each active transaction has between 1 and `pu`
-  /// sub-transactions outstanding.
+  /// jobs (sub-transactions under `ForkJoin`) outstanding.
   void CheckConsistency() const {
     machine_.CheckConsistency();
     GRANULOCK_AUDIT_CHECK_GE(in_flight_, 0);
@@ -162,7 +169,7 @@ class ConservativeProtocol {
     for (const Txn* txn : active_) {
       blocked_from_lists += txn->blocked.size();
       GRANULOCK_AUDIT_CHECK_GT(txn->subtxns_remaining, 0)
-          << "active txn " << txn->id << " has no sub-transactions left";
+          << "active txn " << txn->id << " has no jobs left";
       GRANULOCK_AUDIT_CHECK_LE(txn->subtxns_remaining, txn->params.pu)
           << "active txn " << txn->id;
       // Conservative locking: only lock holders block others, so the
@@ -183,6 +190,51 @@ class ConservativeProtocol {
   TxnPool<Txn>& txns() { return txns_; }
   /// The lock holders, in grant order.
   const std::vector<Txn*>& active() const { return active_; }
+
+  /// Ends the work of active `txn`: it releases its locks and the
+  /// transactions it blocks, and a fresh transaction replaces it. The
+  /// execution step calls it when the work is done.
+  void Complete(Txn* txn) {
+    auto it = std::find(active_.begin(), active_.end(), txn);
+    GRANULOCK_CHECK(it != active_.end());
+    active_.erase(it);
+    engine_->OnReleased(txn);
+
+    const double now = machine_.Now();
+    if constexpr (EngineExecutes()) {
+      stats_.Complete(now - txn->arrival_time);
+    } else {
+      stats_.Complete(now - txn->arrival_time,
+                      txn->clock.At(now, txn->params.pu));
+      probe_.SyncWaits(txn->id, txn->sub_cpu_done);
+    }
+    probe_.Completed(txn->id, txn->arrival_time,
+                     EngineExecutes() ? 0 : txn->params.pu,
+                     static_cast<int64_t>(txn->blocked.size()));
+
+    // Release the transactions this one was blocking. Their blocked stint
+    // counts as lock wait (they are still paying for the denied request).
+    blocked_count_ -= static_cast<int64_t>(txn->blocked.size());
+    for (Txn* released : txn->blocked) {
+      released->clock.lock_wait += now - released->clock.lock_since;
+      probe_.Unblocked(released->id, released->clock.lock_since);
+      Enqueue(released, requeue_blocked_at_tail_);
+    }
+    txn->blocked.clear();
+
+    // Closed system: a fresh transaction replaces the completed one, after
+    // the terminal's think time.
+    if (cfg_->think_time > 0.0) {
+      machine_.sim().ScheduleAfter(rng_->Exponential(cfg_->think_time),
+                                   [this] { Arrive(); });
+    } else {
+      Enqueue(NewTransaction(), /*at_tail=*/true);
+    }
+
+    txns_.Release(txn);
+    UpdateQueueStats();
+    Pump();
+  }
 
  private:
   friend struct AuditTestPeer;  // invariants_test corrupts state through it
@@ -216,13 +268,25 @@ class ConservativeProtocol {
                         blocked_count_, static_cast<int64_t>(pending_.size()));
   }
 
-  void BeginLockRequest(Txn* txn) {
-    ++in_flight_;
-    stats_.CountLockRequest();
+  /// True when the engine supplies its own execution step.
+  static constexpr bool EngineExecutes() {
+    return requires(Engine* engine, Txn* txn) { engine->Execute(txn); };
+  }
+
+  /// `txn` leaves the head of the pending queue: it requests its locks,
+  /// or, with none to set, starts work at once.
+  void LeavePending(Txn* txn) {
     const double now = machine_.Now();
     txn->clock.pending_wait += now - txn->clock.pending_since;
     txn->clock.lock_since = now;
-    probe_.LockRequested(txn->id, txn->params.lu, txn->clock.pending_since);
+    probe_.LeftPending(txn->id, txn->clock.pending_since);
+    if (txn->params.lu == 0) {
+      StartWork(txn);
+      return;
+    }
+    ++in_flight_;
+    stats_.CountLockRequest();
+    probe_.LockRequested(txn->id, txn->params.lu);
     // The request is decided once every node has done its share.
     const double npros = static_cast<double>(cfg_->npros);
     machine_.PayLockCost(txn->params.lock_io_demand / npros,
@@ -243,57 +307,25 @@ class ConservativeProtocol {
       UpdateQueueStats();
     } else {
       probe_.LockGranted(txn->id, txn->params.lu);
-      Grant(txn);
+      txn->clock.lock_wait += machine_.Now() - txn->clock.lock_since;
+      probe_.WorkStarted(txn->id, txn->clock.lock_since);
+      StartWork(txn);
     }
     Pump();
   }
 
-  void Grant(Txn* txn) {
+  /// `txn` joins the active list and runs its execution step.
+  void StartWork(Txn* txn) {
     active_.push_back(txn);
     engine_->OnGranted(txn);
-    txn->clock.lock_wait += machine_.Now() - txn->clock.lock_since;
-    probe_.WorkStarted(txn->id, txn->clock.lock_since);
     UpdateQueueStats();
-    const double pu = static_cast<double>(txn->params.pu);
-    ForkJoin(&machine_, &probe_, txn, txn->params.io_demand / pu,
-             txn->params.cpu_demand / pu, [this](Txn* t) { Complete(t); });
-  }
-
-  void Complete(Txn* txn) {
-    auto it = std::find(active_.begin(), active_.end(), txn);
-    GRANULOCK_CHECK(it != active_.end());
-    active_.erase(it);
-    engine_->OnReleased(txn);
-
-    const double now = machine_.Now();
-    stats_.Complete(now - txn->arrival_time,
-                    txn->clock.At(now, txn->params.pu));
-    probe_.SyncWaits(txn->id, txn->sub_cpu_done);
-    probe_.Completed(txn->id, txn->arrival_time, txn->params.pu,
-                     static_cast<int64_t>(txn->blocked.size()));
-
-    // Release the transactions this one was blocking. Their blocked stint
-    // counts as lock wait (they are still paying for the denied request).
-    blocked_count_ -= static_cast<int64_t>(txn->blocked.size());
-    for (Txn* released : txn->blocked) {
-      released->clock.lock_wait += now - released->clock.lock_since;
-      probe_.Unblocked(released->id, released->clock.lock_since);
-      Enqueue(released, requeue_blocked_at_tail_);
-    }
-    txn->blocked.clear();
-
-    // Closed system: a fresh transaction replaces the completed one, after
-    // the terminal's think time.
-    if (cfg_->think_time > 0.0) {
-      machine_.sim().ScheduleAfter(rng_->Exponential(cfg_->think_time),
-                                   [this] { Arrive(); });
+    if constexpr (EngineExecutes()) {
+      engine_->Execute(txn);
     } else {
-      Enqueue(NewTransaction(), /*at_tail=*/true);
+      const double pu = static_cast<double>(txn->params.pu);
+      ForkJoin(&machine_, &probe_, txn, txn->params.io_demand / pu,
+               txn->params.cpu_demand / pu, [this](Txn* t) { Complete(t); });
     }
-
-    txns_.Release(txn);
-    UpdateQueueStats();
-    Pump();
   }
 
   /// One periodic contention-profiler sample (observer event; scheduled

@@ -76,15 +76,15 @@ class EngineProbe {
     Trace(txn, sim::TraceEventType::kCreated, size);
   }
 
+  /// The transaction left the pending queue it entered at `pending_since`.
+  void LeftPending(uint64_t txn, double pending_since) {
+    Span(txn, obs::Phase::kPendingWait, obs::kLifecycleTrack, pending_since);
+  }
+
   /// A lock request began (`detail`: what it asks for).
   void LockRequested(uint64_t txn, int64_t detail) {
     if (ctr_lock_requests_ != nullptr) ctr_lock_requests_->Increment();
     Trace(txn, sim::TraceEventType::kLockRequested, detail);
-  }
-  /// As above, leaving the pending queue it entered at `pending_since`.
-  void LockRequested(uint64_t txn, int64_t detail, double pending_since) {
-    Span(txn, obs::Phase::kPendingWait, obs::kLifecycleTrack, pending_since);
-    LockRequested(txn, detail);
   }
 
   /// The request was refused (`detail`: the blocker or the granule).
@@ -141,12 +141,14 @@ class EngineProbe {
     }
   }
 
-  /// The transaction completed (arrived at `arrival`, ran `pu` wide).
+  /// The transaction completed (arrived at `arrival`, ran `pu` wide). `pu`
+  /// is 0 when the engine records no execution spans: its spans then stay
+  /// out of reconciliation.
   void Completed(uint64_t txn, double arrival, int64_t pu, int64_t detail) {
     const double now = machine_->Now();
     if (ctr_txn_completed_ != nullptr) ctr_txn_completed_->Increment();
     if (hist_response_ != nullptr) hist_response_->Observe(now - arrival);
-    if (hooks_.spans != nullptr) {
+    if (hooks_.spans != nullptr && pu > 0) {
       hooks_.spans->TxnComplete(txn, arrival, now, pu);
     }
     Trace(txn, sim::TraceEventType::kCompleted, detail);

@@ -83,12 +83,12 @@ class IncrementalSimulator::PolicyDirectory final : public TxnDirectory {
  public:
   explicit PolicyDirectory(const IncrementalSimulator* self) : self_(self) {}
   int64_t RestartsOf(lockmgr::TxnId txn) const override {
-    auto it = self_->txn_by_id_.find(txn);
-    return it == self_->txn_by_id_.end() ? 0 : it->second->restarts;
+    const Txn* found = self_->txn_by_id_.Find(txn);
+    return found == nullptr ? 0 : found->restarts;
   }
   bool IsDoomed(lockmgr::TxnId txn) const override {
-    auto it = self_->txn_by_id_.find(txn);
-    return it != self_->txn_by_id_.end() && it->second->doomed;
+    const Txn* found = self_->txn_by_id_.Find(txn);
+    return found != nullptr && found->doomed;
   }
 
  private:
@@ -204,12 +204,12 @@ IncrementalSimulator::Txn* IncrementalSimulator::CreateTransaction(
     rng_.Shuffle(txn->granules);
   }
   probe_.Created(txn->id, txn->params.nu);
-  txn_by_id_.emplace(txn->id, txn);
+  txn_by_id_.Insert(txn->id, txn);
   return txn;
 }
 
 void IncrementalSimulator::DestroyTransaction(Txn* txn) {
-  txn_by_id_.erase(txn->id);
+  txn_by_id_.Erase(txn->id);
   txns_.Release(txn);
 }
 
@@ -280,8 +280,8 @@ void IncrementalSimulator::ResolveConflict(Txn* txn, int64_t granule) {
     if (victims_.empty()) break;
     bool progressed = false;
     for (lockmgr::TxnId victim_id : victims_) {
-      auto it = txn_by_id_.find(victim_id);
-      if (it == txn_by_id_.end()) {
+      Txn* victim = txn_by_id_.Find(victim_id);
+      if (victim == nullptr) {
         // Policies may only name live transactions (holders or waiters);
         // anything else is a policy bug — or an injected fault, which the
         // cell-retry harness must contain, so fail loudly rather than
@@ -292,7 +292,6 @@ void IncrementalSimulator::ResolveConflict(Txn* txn, int64_t granule) {
             ContentionPolicyName(policy_->kind()),
             (unsigned long long)victim_id));
       }
-      Txn* victim = it->second;
       if (victim->doomed) continue;
       const bool is_requester = victim == txn;
       if (table_->IsQueued(victim->id)) {
@@ -356,16 +355,16 @@ void IncrementalSimulator::CheckConsistency() const {
   // Every lock holder is live: a dead holder's lock leaked at its commit,
   // abort or sacrifice.
   for (const lockmgr::TxnId holder : table_->HoldingTxns()) {
-    GRANULOCK_AUDIT_CHECK(txn_by_id_.contains(holder))
+    GRANULOCK_AUDIT_CHECK(txn_by_id_.Find(holder) != nullptr)
         << "txn " << holder << " holds locks but is not live";
   }
   // A doomed transaction aborts at its next safe point and never queues;
   // a queued doomed transaction would deadlock against its own abort.
   for (const auto& [waiter, granule] : table_->WaitingRequests()) {
-    auto it = txn_by_id_.find(waiter);
-    GRANULOCK_AUDIT_CHECK(it != txn_by_id_.end())
+    const Txn* live = txn_by_id_.Find(waiter);
+    GRANULOCK_AUDIT_CHECK(live != nullptr)
         << "queued txn " << waiter << " is not live";
-    GRANULOCK_AUDIT_CHECK(it == txn_by_id_.end() || !it->second->doomed)
+    GRANULOCK_AUDIT_CHECK(live == nullptr || !live->doomed)
         << "doomed txn " << waiter << " is queued on granule " << granule;
   }
   // Acyclicity: every cycle is detected and broken (victim abort) at the
@@ -483,9 +482,8 @@ void IncrementalSimulator::AdmissionTick() {
 void IncrementalSimulator::HandleGrants(
     std::span<const lockmgr::TxnId> granted) {
   for (lockmgr::TxnId id : granted) {
-    auto it = txn_by_id_.find(id);
-    GRANULOCK_CHECK(it != txn_by_id_.end());
-    Txn* waiter = it->second;
+    Txn* waiter = txn_by_id_.Find(id);
+    GRANULOCK_CHECK(waiter != nullptr);
     --waiting_count_;
     ++running_count_;
     if (auto* prof = probe_.contention()) {

@@ -6,7 +6,6 @@
 #include <memory>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "core/engine_probe.h"
@@ -15,6 +14,7 @@
 #include "core/run_stats.h"
 #include "core/txn_pool.h"
 #include "db/contention_policy.h"
+#include "lockmgr/txn_id_map.h"
 #include "lockmgr/wait_queue_table.h"
 #include "model/config.h"
 #include "obs/hooks.h"
@@ -164,7 +164,7 @@ class IncrementalSimulator {
   core::TxnPool<Txn> txns_;
 
   std::unique_ptr<lockmgr::WaitQueueLockTable> table_;
-  std::unordered_map<lockmgr::TxnId, Txn*> txn_by_id_;
+  lockmgr::TxnIdMap<Txn*> txn_by_id_;
   /// Reused buffers: the grants one release or abort reports, and the
   /// victims one policy decision names. Engine callbacks never run inside
   /// the table or a policy, so neither is refilled while it is read.

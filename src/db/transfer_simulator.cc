@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <utility>
+#include <vector>
 
 #include "db/granule_selector.h"
 #include "sim/invariants.h"
 #include "util/logging.h"
-#include "util/wall_clock.h"
+#include "workload/workload.h"
 
 namespace granulock::db {
 
@@ -14,32 +15,41 @@ using lockmgr::LockMode;
 using lockmgr::LockRequest;
 using sim::ServiceClass;
 
-/// One in-flight transfer: debit `from`, credit `to` by `amount`. The
-/// balances read during the read phase are held in `read_from`/`read_to`
-/// until the write phase applies them — the window in which a concurrent
-/// unprotected transfer can be lost.
+/// One live transfer: debit `from`, credit `to` by `amount`. The balances
+/// read during the read phase are held in `read_from`/`read_to` until the
+/// write phase applies them — the window in which a concurrent unprotected
+/// transfer can be lost.
 struct TransferSimulator::Txn {
   lockmgr::TxnId id = 0;
+  /// `nu` = `pu` = 2 (two records, at most two jobs at a time); `lu` and
+  /// the lock demands are the locks set, 0 under kNoLocking.
+  workload::TransactionParams params;
   double arrival_time = 0.0;
+  /// Jobs of the current stage still running: two reads, one compute,
+  /// then two writes.
+  int64_t subtxns_remaining = 0;
+  std::vector<Txn*> blocked;
+  core::PhaseClock clock;  // the protocol's pending and lock waits
+
   int64_t from = 0;
   int64_t to = 0;
   int64_t amount = 0;
   int64_t read_from = 0;
   int64_t read_to = 0;
-  int64_t phase_remaining = 0;
-  std::vector<Txn*> blocked;
 
   /// Freshly-constructed state, vectors' capacity kept (core::TxnPool).
   void Reset() {
     id = 0;
+    params = {};
     arrival_time = 0.0;
+    subtxns_remaining = 0;
+    blocked.clear();
+    clock = {};
     from = 0;
     to = 0;
     amount = 0;
     read_from = 0;
     read_to = 0;
-    phase_remaining = 0;
-    blocked.clear();
   }
 };
 
@@ -48,7 +58,9 @@ TransferSimulator::TransferSimulator(model::SystemConfig cfg, uint64_t seed,
     : cfg_(std::move(cfg)),
       options_(options),
       rng_(seed),
-      probe_(options_.obs, options_.watchdog) {}
+      protocol_(this, &rng_, options_.obs, options_.watchdog,
+                /*serialize_lock_manager=*/true,
+                /*requeue_blocked_at_tail=*/true) {}
 
 TransferSimulator::TransferSimulator(model::SystemConfig cfg, uint64_t seed)
     : TransferSimulator(std::move(cfg), seed, Options{}) {}
@@ -71,10 +83,7 @@ int64_t TransferSimulator::GranuleOfAccount(int64_t account) const {
 }
 
 Result<TransferSimulator::Report> TransferSimulator::Run() {
-  if (ran_) {
-    return Status::FailedPrecondition("Run() may only be called once");
-  }
-  ran_ = true;
+  GRANULOCK_RETURN_NOT_OK(protocol_.Begin());
   GRANULOCK_RETURN_NOT_OK(cfg_.Validate());
   if (cfg_.dbsize < 2) {
     return Status::InvalidArgument("transfers need at least two accounts");
@@ -93,29 +102,10 @@ Result<TransferSimulator::Report> TransferSimulator::Run() {
   store_ = std::make_unique<storage::RecordStore>(cfg_.dbsize, cfg_.npros,
                                                   options_.initial_balance);
   table_ = std::make_unique<lockmgr::LockTable>(cfg_.ltot);
-  const int64_t initial_total = store_->Total();
-
-  machine_.Build(cfg_.npros);
-  probe_.Start(&machine_, &stats_, cfg_, /*imputed=*/false,
-               /*counts_aborts=*/false);
-  probe_.StartContentionTicks([this] { ContentionTick(); });
-  stats_.Start(&machine_, cfg_.warmup, &probe_);
-  for (int64_t i = 0; i < cfg_.ntrans; ++i) {
-    machine_.sim().ScheduleAt(static_cast<double>(i), [this] {
-      Txn* txn = CreateTransaction(machine_.Now());
-      pending_.push_back(txn);
-      UpdateQueueStats();
-      PumpLockManager();
-    });
-  }
-  probe_.ArmWatchdog();
-  const WallTimer wall_timer;
-  machine_.sim().RunUntil(cfg_.tmax);
-  probe_.PublishRunProfile(wall_timer.Seconds());
 
   Report report;
-  report.metrics = stats_.Collect(machine_, cfg_.tmax);
-  report.initial_total = initial_total;
+  report.initial_total = store_->Total();
+  report.metrics = protocol_.Run(cfg_, /*imputed=*/false);
   report.final_total = store_->Total();
   report.in_flight_imbalance = net_applied_;
   report.conserved =
@@ -124,11 +114,8 @@ Result<TransferSimulator::Report> TransferSimulator::Run() {
   return report;
 }
 
-TransferSimulator::Txn* TransferSimulator::CreateTransaction(
-    double arrival_time) {
-  Txn* txn = txns_.Acquire();
-  txn->id = next_txn_id_++;
-  txn->arrival_time = arrival_time;
+TransferSimulator::Txn* TransferSimulator::CreateTransaction() {
+  Txn* txn = protocol_.txns().Acquire();
   const auto draw_account = [this] {
     return zipf_ ? zipf_->Sample(rng_) : rng_.UniformInt(0, cfg_.dbsize - 1);
   };
@@ -138,187 +125,108 @@ TransferSimulator::Txn* TransferSimulator::CreateTransaction(
     txn->to = draw_account();
   } while (txn->to == txn->from);
   txn->amount = rng_.UniformInt(1, 10);
+  txn->params.nu = 2;
+  txn->params.pu = 2;
+  if (options_.concurrency_control ==
+      ConcurrencyControl::kConservativeLocking) {
+    // Lock cost per the paper's model: per-lock I/O then CPU, paid on
+    // every attempt.
+    const int64_t locks =
+        GranuleOfAccount(txn->from) == GranuleOfAccount(txn->to) ? 1 : 2;
+    txn->params.lu = locks;
+    txn->params.lock_io_demand = static_cast<double>(locks) * cfg_.liotime;
+    txn->params.lock_cpu_demand = static_cast<double>(locks) * cfg_.lcputime;
+  }
   return txn;
 }
 
-void TransferSimulator::UpdateQueueStats() {
-  stats_.UpdateQueues(machine_.Now(), static_cast<int64_t>(active_.size()),
-                      blocked_count_, static_cast<int64_t>(pending_.size()));
-}
-
-void TransferSimulator::PumpLockManager() {
-  while (!pending_.empty() && outstanding_lock_requests_ == 0) {
-    Txn* txn = pending_.front();
-    pending_.pop_front();
-    UpdateQueueStats();
-    if (options_.concurrency_control == ConcurrencyControl::kNoLocking) {
-      // Straight to execution — this is how updates get lost.
-      active_.emplace(txn->id, txn);
-      UpdateQueueStats();
-      StartReads(txn);
-      continue;
-    }
-    BeginLockRequest(txn);
-  }
-  if (sim::invariants::DeepAuditEnabled()) CheckConsistency();
-}
-
 void TransferSimulator::CheckConsistency() const {
-  machine_.CheckConsistency();
-  GRANULOCK_AUDIT_CHECK_GE(outstanding_lock_requests_, 0);
-  GRANULOCK_AUDIT_CHECK_GE(blocked_count_, 0);
-  GRANULOCK_AUDIT_CHECK_EQ(
-      txns_.live(),
-      pending_.size() + static_cast<size_t>(outstanding_lock_requests_) +
-          static_cast<size_t>(blocked_count_) + active_.size())
-      << "live=" << txns_.live() << " pending=" << pending_.size()
-      << " in_lock=" << outstanding_lock_requests_
-      << " blocked=" << blocked_count_ << " active=" << active_.size();
-  size_t blocked_from_lists = 0;
-  for (const auto& [id, txn] : active_) {
-    GRANULOCK_AUDIT_CHECK_EQ(id, txn->id);
-    blocked_from_lists += txn->blocked.size();
-    for (const Txn* waiter : txn->blocked) {
-      GRANULOCK_AUDIT_CHECK(waiter->blocked.empty())
-          << "blocked txn " << waiter->id
-          << " blocks others: waits-for chain under conservative locking";
-    }
-  }
-  GRANULOCK_AUDIT_CHECK_EQ(static_cast<size_t>(blocked_count_),
-                           blocked_from_lists);
-  if (options_.concurrency_control ==
-      ConcurrencyControl::kConservativeLocking) {
-    GRANULOCK_AUDIT_CHECK_EQ(
-        static_cast<size_t>(table_->ActiveTransactions()), active_.size());
-    table_->CheckConsistency();
-  }
+  protocol_.CheckConsistency();
+  const bool locking = options_.concurrency_control ==
+                       ConcurrencyControl::kConservativeLocking;
+  GRANULOCK_AUDIT_CHECK_EQ(static_cast<size_t>(table_->ActiveTransactions()),
+                           locking ? protocol_.active().size() : 0);
+  table_->CheckConsistency();
 }
 
-void TransferSimulator::BeginLockRequest(Txn* txn) {
-  ++outstanding_lock_requests_;
-  stats_.CountLockRequest();
-  // Lock cost per the paper's model: per-lock I/O then CPU, shared across
-  // all nodes at preemptive priority.
-  const double locks =
-      GranuleOfAccount(txn->from) == GranuleOfAccount(txn->to) ? 1.0 : 2.0;
-  const double npros = static_cast<double>(cfg_.npros);
-  machine_.PayLockCost(locks * cfg_.liotime / npros,
-                       locks * cfg_.lcputime / npros,
-                       [this, txn] { FinishLockRequest(txn); });
-}
-
-void TransferSimulator::FinishLockRequest(Txn* txn) {
-  --outstanding_lock_requests_;
-  const int64_t granule_a = GranuleOfAccount(txn->from);
-  const int64_t granule_b = GranuleOfAccount(txn->to);
-  std::vector<LockRequest> requests{{granule_a, LockMode::kX},
-                                    {granule_b, LockMode::kX}};
-  auto* prof = probe_.contention();
+TransferSimulator::Txn* TransferSimulator::Decide(Txn* txn) {
+  const std::vector<LockRequest> requests{
+      {GranuleOfAccount(txn->from), LockMode::kX},
+      {GranuleOfAccount(txn->to), LockMode::kX}};
+  auto* prof = protocol_.probe().contention();
   lockmgr::ConflictInfo conflict;
   const auto blocker = table_->TryAcquireAll(
       txn->id, requests, prof != nullptr ? &conflict : nullptr);
-  if (blocker.has_value()) {
-    stats_.CountLockDenial();
-    auto it = active_.find(*blocker);
-    GRANULOCK_CHECK(it != active_.end());
-    it->second->blocked.push_back(txn);
-    ++blocked_count_;
-    if (prof != nullptr) {
-      // Conservative locking cannot chain waiters, so the depth is 1.
-      prof->OnBlock(txn->id, conflict.granule, conflict.requested,
-                    conflict.held, /*chain_depth=*/1, machine_.Now());
-    }
-    UpdateQueueStats();
-  } else {
-    if (prof != nullptr) {
-      prof->OnGrant(granule_a);
-      if (granule_b != granule_a) prof->OnGrant(granule_b);
-    }
-    active_.emplace(txn->id, txn);
-    UpdateQueueStats();
-    StartReads(txn);
+  if (!blocker.has_value()) return nullptr;
+  if (prof != nullptr) {
+    // Conservative locking cannot chain waiters, so the depth is 1.
+    prof->OnBlock(txn->id, conflict.granule, conflict.requested,
+                  conflict.held, /*chain_depth=*/1,
+                  protocol_.machine().Now());
   }
-  PumpLockManager();
+  const lockmgr::TxnId blocker_id = *blocker;
+  const std::vector<Txn*>& active = protocol_.active();
+  auto it = std::find_if(active.begin(), active.end(), [blocker_id](Txn* t) {
+    return t->id == blocker_id;
+  });
+  GRANULOCK_CHECK(it != active.end())
+      << "blocker " << blocker_id << " is not active";
+  return *it;
 }
 
-void TransferSimulator::ContentionTick() {
-  std::vector<std::pair<uint64_t, uint64_t>> edges;
-  for (const auto& [id, holder] : active_) {
-    for (const Txn* waiter : holder->blocked) {
-      edges.emplace_back(waiter->id, id);
-    }
-  }
-  probe_.ContentionSample(std::move(edges), table_->LockedGranules());
+void TransferSimulator::OnGranted(Txn* txn) {
+  auto* prof = protocol_.probe().contention();
+  if (prof == nullptr || txn->params.lu == 0) return;
+  const int64_t granule_a = GranuleOfAccount(txn->from);
+  const int64_t granule_b = GranuleOfAccount(txn->to);
+  prof->OnGrant(granule_a);
+  if (granule_b != granule_a) prof->OnGrant(granule_b);
 }
 
-void TransferSimulator::StartReads(Txn* txn) {
-  txn->phase_remaining = 2;
-  const auto read = [this, txn](int64_t account, int64_t* slot) {
-    machine_.io(store_->NodeOf(account))
-        .Submit(ServiceClass::kTransaction, cfg_.iotime,
-                [this, txn, account, slot] {
-          // The balance is captured at read-completion time; it can go
-          // stale before the write phase applies it.
-          *slot = store_->Read(account);
-          OnReadsDone(txn);
-        });
-  };
-  read(txn->from, &txn->read_from);
-  read(txn->to, &txn->read_to);
+void TransferSimulator::OnReleased(Txn* txn) { table_->ReleaseAll(txn->id); }
+
+void TransferSimulator::Execute(Txn* txn) {
+  txn->subtxns_remaining = 2;
+  Read(txn, txn->from, &txn->read_from);
+  Read(txn, txn->to, &txn->read_to);
 }
 
-void TransferSimulator::OnReadsDone(Txn* txn) {
-  if (--txn->phase_remaining > 0) return;
-  // Compute phase: validate and build the new balances on the debit
-  // account's CPU.
-  machine_.cpu(store_->NodeOf(txn->from))
-      .Submit(ServiceClass::kTransaction, 2.0 * cfg_.cputime,
-              [this, txn] { StartWrites(txn); });
+void TransferSimulator::Read(Txn* txn, int64_t account, int64_t* balance) {
+  protocol_.machine()
+      .io(store_->NodeOf(account))
+      .Submit(ServiceClass::kTransaction, cfg_.iotime,
+              [this, txn, account, balance] {
+    // The balance is captured at read-completion time; it can go stale
+    // before the write phase applies it.
+    *balance = store_->Read(account);
+    if (--txn->subtxns_remaining > 0) return;
+    // Compute phase: validate and build the new balances on the debit
+    // account's CPU.
+    txn->subtxns_remaining = 1;
+    protocol_.machine()
+        .cpu(store_->NodeOf(txn->from))
+        .Submit(ServiceClass::kTransaction, 2.0 * cfg_.cputime,
+                [this, txn] {
+      // Track the delta each applied write intends, so the integrity
+      // check can net out transfers cut off mid-write by the simulation
+      // horizon.
+      txn->subtxns_remaining = 2;
+      Write(txn, txn->from, txn->read_from - txn->amount, -txn->amount);
+      Write(txn, txn->to, txn->read_to + txn->amount, txn->amount);
+    });
+  });
 }
 
-void TransferSimulator::StartWrites(Txn* txn) {
-  const auto write = [this, txn](int64_t account, int64_t value,
-                                 int64_t delta) {
-    machine_.io(store_->NodeOf(account))
-        .Submit(ServiceClass::kTransaction, cfg_.iotime,
-                [this, txn, account, value, delta] {
-          store_->Write(account, value);
-          net_applied_ += delta;
-          if (--txn->phase_remaining == 0) Complete(txn);
-        });
-  };
-  // Track the delta each applied write intends, so the integrity check
-  // can net out transfers cut off mid-write by the simulation horizon.
-  txn->phase_remaining = 2;
-  write(txn->from, txn->read_from - txn->amount, -txn->amount);
-  write(txn->to, txn->read_to + txn->amount, txn->amount);
-}
-
-void TransferSimulator::Complete(Txn* txn) {
-  if (options_.concurrency_control ==
-      ConcurrencyControl::kConservativeLocking) {
-    table_->ReleaseAll(txn->id);
-  }
-  auto it = active_.find(txn->id);
-  GRANULOCK_CHECK(it != active_.end());
-  active_.erase(it);
-
-  stats_.Complete(machine_.Now() - txn->arrival_time);
-
-  blocked_count_ -= static_cast<int64_t>(txn->blocked.size());
-  for (Txn* released : txn->blocked) {
-    if (auto* prof = probe_.contention()) {
-      prof->OnUnblock(released->id, machine_.Now());
-    }
-    pending_.push_back(released);
-  }
-  txn->blocked.clear();
-
-  pending_.push_back(CreateTransaction(machine_.Now()));
-
-  txns_.Release(txn);
-  UpdateQueueStats();
-  PumpLockManager();
+void TransferSimulator::Write(Txn* txn, int64_t account, int64_t balance,
+                              int64_t delta) {
+  protocol_.machine()
+      .io(store_->NodeOf(account))
+      .Submit(ServiceClass::kTransaction, cfg_.iotime,
+              [this, txn, account, balance, delta] {
+    store_->Write(account, balance);
+    net_applied_ += delta;
+    if (--txn->subtxns_remaining == 0) protocol_.Complete(txn);
+  });
 }
 
 }  // namespace granulock::db

@@ -2,20 +2,14 @@
 #define GRANULOCK_DB_TRANSFER_SIMULATOR_H_
 
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <unordered_map>
-#include <vector>
 
-#include "core/engine_probe.h"
+#include "core/conservative_protocol.h"
 #include "core/fault.h"
 #include "core/metrics.h"
-#include "core/run_stats.h"
-#include "core/txn_pool.h"
 #include "lockmgr/lock_table.h"
 #include "model/config.h"
 #include "obs/hooks.h"
-#include "sim/machine.h"
 #include "storage/record_store.h"
 #include "util/random.h"
 #include "util/status.h"
@@ -31,14 +25,18 @@ namespace granulock::db {
 /// produces genuine *lost updates* ("it might lead to the lost update
 /// problem in a funds transfer transaction", §1).
 ///
+/// The system runs the paper's protocol (`core::ConservativeProtocol`,
+/// with a serialized lock manager and released transactions rejoining the
+/// tail of the pending queue); the engine supplies its own execution step.
 /// Two concurrency-control modes:
-///  * kConservativeLocking — the paper's protocol over a real lock table
-///    at the configured granularity (`cfg.ltot`); execution is
+///  * kConservativeLocking — each transfer locks its accounts' granules
+///    (one or two) in a real lock table at the configured granularity
+///    (`cfg.ltot`) and pays the lock cost per lock set; execution is
 ///    serializable, so the total balance is conserved;
-///  * kNoLocking — transactions run unprotected; concurrent transfers
-///    overwrite each other's balances and the invariant breaks. This mode
-///    exists to demonstrate *why* the locking whose granularity the paper
-///    tunes is needed at all.
+///  * kNoLocking — transfers set no locks, so they skip the lock request
+///    and run unprotected; concurrent transfers overwrite each other's
+///    balances and the invariant breaks. This mode exists to demonstrate
+///    *why* the locking whose granularity the paper tunes is needed at all.
 ///
 /// Beyond correctness, the engine reports the usual timing metrics, so the
 /// granularity trade-off can be studied on a realistic OLTP workload
@@ -62,11 +60,13 @@ class TransferSimulator {
     /// YCSB-style hot-key distribution). Composes with `hot_fraction`.
     double zipf_theta = 0.0;
     /// Optional observability sinks; attaching them never changes
-    /// simulated results. The engine reports no transaction lifecycle, so
-    /// `spans` and `trace` stay empty; the registry gets the post-run
-    /// profile, the sampler its ticks, and the contention profiler (only
-    /// meaningful under kConservativeLocking; kNoLocking never blocks)
-    /// its waits and samples.
+    /// simulated results. The protocol reports the transaction lifecycle
+    /// to the registry's counters and the trace, and the pending and
+    /// lock-wait spans to `spans`. The execution step records no spans,
+    /// so no transfer's spans are reconciled. The registry also gets the
+    /// post-run profile, the sampler its ticks, and the contention
+    /// profiler (only meaningful under kConservativeLocking; kNoLocking
+    /// never blocks) its waits and samples.
     obs::Hooks obs;
     /// Optional per-cell watchdog; see `core::GranularitySimulator`.
     const fault::CellWatchdog* watchdog = nullptr;
@@ -99,8 +99,9 @@ class TransferSimulator {
   TransferSimulator& operator=(const TransferSimulator&) = delete;
 
   /// Validates, runs to `cfg.tmax`, returns the report. Call once.
-  /// `cfg.maxtransize` is ignored (every transfer touches 2 records), and
-  /// so is `cfg.think_time`: a completed transfer is replaced at once.
+  /// `cfg.maxtransize` is ignored (every transfer touches 2 records). A
+  /// completed transfer is replaced after the terminal's `cfg.think_time`,
+  /// as in the other engines.
   Result<Report> Run();
 
   static Result<Report> RunOnce(const model::SystemConfig& cfg,
@@ -112,52 +113,41 @@ class TransferSimulator {
   friend struct AuditTestPeer;  // invariants_test corrupts state through it
 
   struct Txn;
+  using Protocol = core::ConservativeProtocol<TransferSimulator, Txn>;
+  friend Protocol;
 
-  /// Deep audit (runs at quiescent points when
-  /// `sim::invariants::DeepAuditEnabled()`): the machine's own audit,
-  /// closed-system conservation over pending / lock-processing / blocked /
-  /// active, blocked-list accounting, and — under conservative locking —
-  /// the lock table's own invariants with exactly the active transactions
-  /// holding locks.
+  // --- the protocol's hooks (see core::ConservativeProtocol) ---
+  /// Draws the two accounts and the amount, and the locks every attempt
+  /// asks for and pays for (none under kNoLocking).
+  Txn* CreateTransaction();
+  /// Attempts both accounts' granule locks against the lock table.
+  Txn* Decide(Txn* txn);
+  void OnGranted(Txn* txn);
+  void OnReleased(Txn* txn);
+  int64_t AdmissionCap() const { return 0; }
+  int64_t LockedGranules() const { return table_->LockedGranules(); }
+  /// The execution step: read both balances, compute, write both back.
+  void Execute(Txn* txn);
+  /// Deep audit: the protocol's conservation audit, then the lock table's
+  /// own, with exactly the active transactions holding locks (none under
+  /// kNoLocking).
   void CheckConsistency() const;
 
-  void PumpLockManager();
-  void BeginLockRequest(Txn* txn);
-  void FinishLockRequest(Txn* txn);
-  void StartReads(Txn* txn);
-  void OnReadsDone(Txn* txn);
-  void StartWrites(Txn* txn);
-  void Complete(Txn* txn);
-
-  Txn* CreateTransaction(double arrival_time);
-  void UpdateQueueStats();
-  /// One periodic contention-profiler sample (observer event; only
-  /// scheduled when options_.obs.contention is set).
-  void ContentionTick();
+  void Read(Txn* txn, int64_t account, int64_t* balance);
+  void Write(Txn* txn, int64_t account, int64_t balance, int64_t delta);
   int64_t GranuleOfAccount(int64_t account) const;
 
   model::SystemConfig cfg_;
   Options options_;
   Rng rng_;
 
-  sim::Machine machine_;
-  core::RunStats stats_;
-  core::EngineProbe probe_;
-  core::TxnPool<Txn> txns_;
-
   std::unique_ptr<storage::RecordStore> store_;
   std::unique_ptr<ZipfGenerator> zipf_;
   std::unique_ptr<lockmgr::LockTable> table_;
-
-  std::deque<Txn*> pending_;
-  std::unordered_map<lockmgr::TxnId, Txn*> active_;
-  int64_t blocked_count_ = 0;
-  int outstanding_lock_requests_ = 0;
   /// Net intended delta of applied writes (see Report::in_flight_imbalance).
   int64_t net_applied_ = 0;
 
-  uint64_t next_txn_id_ = 1;
-  bool ran_ = false;
+  Protocol protocol_;
 };
 
 }  // namespace granulock::db

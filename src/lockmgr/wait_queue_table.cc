@@ -7,53 +7,15 @@
 
 namespace granulock::lockmgr {
 
-namespace {
-
-constexpr int kInitialIndexBits = 4;
-
-}  // namespace
-
 WaitQueueLockTable::WaitQueueLockTable(int64_t num_granules)
     : num_granules_(num_granules),
-      granules_(static_cast<size_t>(std::max<int64_t>(num_granules, 0))),
-      index_(size_t{1} << kInitialIndexBits),
-      index_bits_(kInitialIndexBits) {
+      granules_(static_cast<size_t>(std::max<int64_t>(num_granules, 0))) {
   GRANULOCK_CHECK_GE(num_granules, 1);
 }
 
 // --- The per-transaction slots and their index --------------------------
 
-size_t WaitQueueLockTable::HomeCell(TxnId txn) const {
-  // Fibonacci hashing: the engines number transactions consecutively, and
-  // the multiply spreads consecutive ids over the high bits.
-  return static_cast<size_t>((txn * 0x9e3779b97f4a7c15ull) >>
-                             (64 - index_bits_));
-}
-
-uint32_t WaitQueueLockTable::FindSlot(TxnId txn) const {
-  const size_t mask = index_.size() - 1;
-  for (size_t i = HomeCell(txn);; i = (i + 1) & mask) {
-    const IndexCell& cell = index_[i];
-    if (cell.slot == kNoSlot) return kNoSlot;
-    if (cell.txn == txn) return cell.slot;
-  }
-}
-
-void WaitQueueLockTable::GrowIndex() {
-  std::vector<IndexCell> old = std::move(index_);
-  ++index_bits_;
-  index_.assign(size_t{1} << index_bits_, IndexCell{});
-  const size_t mask = index_.size() - 1;
-  for (const IndexCell& cell : old) {
-    if (cell.slot == kNoSlot) continue;
-    size_t i = HomeCell(cell.txn);
-    while (index_[i].slot != kNoSlot) i = (i + 1) & mask;
-    index_[i] = cell;
-  }
-}
-
 uint32_t WaitQueueLockTable::AddSlot(TxnId txn) {
-  if (2 * (index_size_ + 1) > index_.size()) GrowIndex();
   uint32_t slot;
   if (free_slots_.empty()) {
     slot = static_cast<uint32_t>(slots_.size());
@@ -63,31 +25,14 @@ uint32_t WaitQueueLockTable::AddSlot(TxnId txn) {
     free_slots_.pop_back();
   }
   slots_[slot].txn = txn;
-  const size_t mask = index_.size() - 1;
-  size_t i = HomeCell(txn);
-  while (index_[i].slot != kNoSlot) i = (i + 1) & mask;
-  index_[i] = IndexCell{txn, slot};
-  ++index_size_;
+  index_.Insert(txn, slot);
   return slot;
 }
 
 void WaitQueueLockTable::MaybeFreeSlot(uint32_t slot) {
   TxnSlot& state = slots_[slot];
   if (!state.held.empty() || state.queued_on >= 0) return;
-  // Backward-shift deletion: each later cell of the probe run moves into
-  // the hole unless the hole lies before its home cell.
-  const size_t mask = index_.size() - 1;
-  size_t hole = HomeCell(state.txn);
-  while (index_[hole].slot != slot) hole = (hole + 1) & mask;
-  for (size_t i = (hole + 1) & mask; index_[i].slot != kNoSlot;
-       i = (i + 1) & mask) {
-    if (((i - HomeCell(index_[i].txn)) & mask) >= ((i - hole) & mask)) {
-      index_[hole] = index_[i];
-      hole = i;
-    }
-  }
-  index_[hole] = IndexCell{};
-  --index_size_;
+  index_.Erase(state.txn);
   state.txn = 0;
   free_slots_.push_back(slot);
 }
@@ -315,16 +260,15 @@ void WaitQueueLockTable::CheckConsistency() const {
         << "free list names slot " << slot << " twice or out of range";
     if (valid) is_free[slot] = true;
   }
-  size_t cells = 0;
-  for (const IndexCell& cell : index_) {
-    if (cell.slot == kNoSlot) continue;
-    ++cells;
-    GRANULOCK_AUDIT_CHECK(cell.slot < slots_.size() && !is_free[cell.slot] &&
-                          slots_[cell.slot].txn == cell.txn)
-        << "index cell of txn " << cell.txn << " names slot " << cell.slot
+  size_t indexed = 0;
+  index_.ForEach([&](TxnId txn, uint32_t slot) {
+    ++indexed;
+    GRANULOCK_AUDIT_CHECK(slot < slots_.size() && !is_free[slot] &&
+                          slots_[slot].txn == txn)
+        << "index entry of txn " << txn << " names slot " << slot
         << ", which is free or another transaction's";
-  }
-  GRANULOCK_AUDIT_CHECK_EQ(cells, index_size_);
+  });
+  GRANULOCK_AUDIT_CHECK_EQ(indexed, index_.size());
 
   size_t live = 0;
   size_t holds_from_slots = 0;
@@ -375,7 +319,7 @@ void WaitQueueLockTable::CheckConsistency() const {
         << "txn " << slot.txn << " appears " << entries
         << " times in the queue of granule " << slot.queued_on;
   }
-  GRANULOCK_AUDIT_CHECK_EQ(live, index_size_);
+  GRANULOCK_AUDIT_CHECK_EQ(live, index_.size());
 
   // Queue conservation, the holder mirror and the no-missed-grant
   // property, granule by granule.

@@ -8,6 +8,7 @@
 
 #include "lockmgr/lock_mode.h"
 #include "lockmgr/lock_table.h"
+#include "lockmgr/txn_id_map.h"
 #include "sim/fcfs_ring.h"
 
 namespace granulock::lockmgr {
@@ -26,7 +27,7 @@ namespace granulock::lockmgr {
 ///
 /// Layout: per-granule state is a vector indexed by granule, sized at
 /// construction. Each transaction that holds or waits has a slot, found
-/// from its id through an open-addressing index; a slot is recycled as
+/// from its id through a `TxnIdMap`; a slot is recycled as
 /// soon as its transaction holds and waits for nothing, so memory follows
 /// the transactions in the table, not the largest id. Vectors, rings and
 /// slots keep their capacity, so once the table has seen its largest
@@ -128,7 +129,7 @@ class WaitQueueLockTable {
   std::vector<TxnId> HoldingTxns() const;
 
   /// True iff no locks are held and no requests wait.
-  bool Empty() const { return index_size_ == 0; }
+  bool Empty() const { return index_.size() == 0; }
 
   int64_t num_granules() const { return num_granules_; }
 
@@ -162,19 +163,11 @@ class WaitQueueLockTable {
     std::vector<int64_t> held;  // grant order
     int64_t queued_on = -1;     // the granule it waits for, or -1
   };
-  /// One cell of the open-addressing index; `slot == kNoSlot` is empty.
-  struct IndexCell {
-    TxnId txn = 0;
-    uint32_t slot = kNoSlot;
-  };
-
-  uint32_t FindSlot(TxnId txn) const;
+  uint32_t FindSlot(TxnId txn) const { return index_.Find(txn); }
   /// Gives `txn`, which has no slot, one from the free list or a new one.
   uint32_t AddSlot(TxnId txn);
   /// Frees `slot` if its transaction holds and waits for nothing.
   void MaybeFreeSlot(uint32_t slot);
-  size_t HomeCell(TxnId txn) const;
-  void GrowIndex();
 
   bool CompatibleWithHolders(const GranuleState& state, TxnId txn,
                              LockMode mode) const;
@@ -189,11 +182,7 @@ class WaitQueueLockTable {
   std::vector<GranuleState> granules_;
   std::vector<TxnSlot> slots_;
   std::vector<uint32_t> free_slots_;
-  /// Power-of-two open-addressing table, linear probing, at most half
-  /// full; erasure shifts later cells back, so there are no tombstones.
-  std::vector<IndexCell> index_;
-  size_t index_size_ = 0;
-  int index_bits_ = 0;
+  TxnIdMap<uint32_t, kNoSlot> index_;
   int64_t waiting_count_ = 0;
 };
 

@@ -4,6 +4,7 @@
 
 #include "sim/priority_server.h"
 #include "sim/simulator.h"
+#include "util/strings.h"
 
 namespace granulock::sim {
 namespace {
@@ -82,7 +83,7 @@ class ServerPoolUnionTest : public ::testing::Test {
   void SetUp() override {
     for (int i = 0; i < 2; ++i) {
       servers_.push_back(
-          std::make_unique<PriorityServer>(&sim_, "s" + std::to_string(i)));
+          std::make_unique<PriorityServer>(&sim_, StrFormat("s%d", i)));
       servers_.back()->SetBusyUnion(&tracker_);
     }
   }

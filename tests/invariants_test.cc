@@ -104,13 +104,17 @@ struct AuditTestPeer {
   static auto& InBackoff(IncrementalSimulator& s) { return s.in_backoff_; }
   static auto& Table(IncrementalSimulator& s) { return *s.table_; }
   static void Check(const IncrementalSimulator& s) { s.CheckConsistency(); }
-  static auto& BlockedCount(TransferSimulator& s) { return s.blocked_count_; }
+  static auto& BlockedCount(TransferSimulator& s) {
+    return core::AuditTestPeer::BlockedCount(s.protocol_);
+  }
   static void Check(const TransferSimulator& s) { s.CheckConsistency(); }
   static sim::Machine& MachineOf(ExplicitSimulator& s) {
     return s.protocol_.machine();
   }
   static sim::Machine& MachineOf(IncrementalSimulator& s) { return s.machine_; }
-  static sim::Machine& MachineOf(TransferSimulator& s) { return s.machine_; }
+  static sim::Machine& MachineOf(TransferSimulator& s) {
+    return s.protocol_.machine();
+  }
 };
 
 }  // namespace granulock::db
@@ -726,19 +730,29 @@ TEST_F(EngineAuditTest, TransferEngineRunsCleanAndDetectsCorruption) {
   cfg.dbsize = 200;
   cfg.ltot = 50;
   cfg.maxtransize = 20;  // must stay <= dbsize; ignored by this engine
-  db::TransferSimulator engine(cfg, /*seed=*/7,
-                               db::TransferSimulator::Options{});
-  const auto report = engine.Run();
-  ASSERT_TRUE(report.ok());
-  EXPECT_TRUE(report->conserved);
+  using ConcurrencyControl = db::TransferSimulator::ConcurrencyControl;
+  for (const ConcurrencyControl cc : {ConcurrencyControl::kConservativeLocking,
+                                      ConcurrencyControl::kNoLocking}) {
+    const bool locking = cc == ConcurrencyControl::kConservativeLocking;
+    SCOPED_TRACE(locking ? "conservative locking" : "no locking");
+    db::TransferSimulator::Options options;
+    options.concurrency_control = cc;
+    db::TransferSimulator engine(cfg, /*seed=*/7, options);
+    const auto report = engine.Run();
+    ASSERT_TRUE(report.ok());
+    if (locking) {
+      EXPECT_TRUE(report->conserved);
+    }
 
-  ScopedFailureCapture capture;
-  db::AuditTestPeer::Check(engine);
-  EXPECT_EQ(capture.count(), 0);
+    ScopedFailureCapture capture;
+    db::AuditTestPeer::Check(engine);
+    EXPECT_EQ(capture.count(), 0);
 
-  db::AuditTestPeer::BlockedCount(engine) += 1;
-  db::AuditTestPeer::Check(engine);
-  EXPECT_GT(capture.count(), 0);
+    // The protocol's blocked count no longer matches the blockers' lists.
+    db::AuditTestPeer::BlockedCount(engine) += 1;
+    db::AuditTestPeer::Check(engine);
+    EXPECT_GT(capture.count(), 0);
+  }
 }
 
 TEST_F(EngineAuditTest, EngineAuditsIncludeTheMachine) {

@@ -20,6 +20,7 @@
 #include "obs/registry.h"
 #include "obs/span_trace.h"
 #include "obs/time_series.h"
+#include "sim/trace.h"
 
 namespace granulock {
 namespace {
@@ -166,25 +167,56 @@ TEST(ObservabilityIdentityTest, TransferEngine) {
   model::SystemConfig cfg = TestConfig();
   cfg.dbsize = 200;  // accounts
   cfg.ltot = 20;
+  using ConcurrencyControl = db::TransferSimulator::ConcurrencyControl;
+  for (const ConcurrencyControl cc : {ConcurrencyControl::kConservativeLocking,
+                                      ConcurrencyControl::kNoLocking}) {
+    const bool locking = cc == ConcurrencyControl::kConservativeLocking;
+    SCOPED_TRACE(locking ? "conservative locking" : "no locking");
+    db::TransferSimulator::Options options;
+    options.concurrency_control = cc;
+    auto plain = db::TransferSimulator::RunOnce(cfg, 7, options);
+    ASSERT_TRUE(plain.ok()) << plain.status();
 
-  auto plain = db::TransferSimulator::RunOnce(cfg, 7);
-  ASSERT_TRUE(plain.ok()) << plain.status();
+    obs::MetricsRegistry registry;
+    obs::SpanRecorder spans;
+    obs::TimeSeriesSampler sampler(25.0);
+    obs::ContentionProfiler contention;
+    sim::TraceRecorder trace;
+    options.obs = {&registry, &spans, &sampler, &contention, &trace};
+    auto observed = db::TransferSimulator::RunOnce(cfg, 7, options);
+    ASSERT_TRUE(observed.ok()) << observed.status();
 
-  obs::MetricsRegistry registry;
-  obs::SpanRecorder spans;
-  obs::TimeSeriesSampler sampler(25.0);
-  obs::ContentionProfiler contention;
-  db::TransferSimulator::Options options;
-  options.obs = {&registry, &spans, &sampler, &contention};
-  auto observed = db::TransferSimulator::RunOnce(cfg, 7, options);
-  ASSERT_TRUE(observed.ok()) << observed.status();
+    const core::SimulationMetrics& m = observed->metrics;
+    ExpectBitIdentical(plain->metrics, m);
+    EXPECT_EQ(plain->final_total, observed->final_total);
+    EXPECT_EQ(registry.GetGauge("sim.events_executed")->value(),
+              static_cast<double>(m.events_executed));
+    EXPECT_GT(sampler.pushed(), 0u);
 
-  ExpectBitIdentical(plain->metrics, observed->metrics);
-  EXPECT_EQ(plain->final_total, observed->final_total);
-  EXPECT_EQ(registry.GetGauge("sim.events_executed")->value(),
-            static_cast<double>(observed->metrics.events_executed));
-  EXPECT_GT(sampler.pushed(), 0u);
-  EXPECT_GT(contention.total_grants(), 0);
+    // The protocol reports the lifecycle. With no warm-up and no think
+    // time, each completion creates its replacement at once.
+    EXPECT_GT(m.totcom, 0);
+    EXPECT_EQ(registry.GetCounter("engine.txn_created")->value(),
+              cfg.ntrans + m.totcom);
+    EXPECT_EQ(registry.GetCounter("engine.lock_requests")->value(),
+              m.lock_requests);
+    EXPECT_EQ(registry.GetCounter("engine.lock_denials")->value(),
+              m.lock_denials);
+    EXPECT_EQ(registry.GetCounter("engine.txn_completed")->value(),
+              m.totcom);
+    EXPECT_FALSE(trace.events().empty());
+    if (locking) {
+      EXPECT_GT(m.lock_requests, 0);
+      EXPECT_GT(contention.total_grants(), 0);
+    } else {
+      // No locks to set, so no transfer requests any.
+      EXPECT_EQ(m.lock_requests, 0);
+    }
+    // Pending and lock-wait spans only: the execution step records none,
+    // so no transfer is reconciled.
+    EXPECT_GT(spans.spans().size(), 0u);
+    EXPECT_EQ(spans.completed_txns(), 0u);
+  }
 }
 
 // --------------------------------------------------------------------

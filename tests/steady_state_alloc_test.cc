@@ -18,7 +18,7 @@
 //  working size, 10,000 further requests must not allocate once.
 //
 //  * The incremental engine end to end: a run to 2T minus a run to T of
-//    the same seed must allocate less than 0.25 times per lock request.
+//    the same seed must allocate less than 0.025 times per lock request.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -455,7 +455,7 @@ TEST(SteadyStateAllocTest, IncrementalEngineAllocatesRarelyPerRequest) {
     for (const int64_t mpl : {8, 64}) {
       const double per_request =
           EngineAllocationsPerRequest(policy, mpl, /*tmax=*/250.0);
-      EXPECT_LT(per_request, 0.25)
+      EXPECT_LT(per_request, 0.025)
           << db::ContentionPolicyName(policy) << " at MPL " << mpl;
       RecordProperty(std::string(db::ContentionPolicyName(policy)) +
                          "_mpl" + std::to_string(mpl),

@@ -147,6 +147,18 @@ TEST(TransferSimulatorTest, WriteCountMatchesCompletions) {
             2 * report.metrics.totcom + 2 * TransferConfig().ntrans);
 }
 
+TEST(TransferSimulatorTest, ThinkTimeDelaysReplacements) {
+  // A terminal thinks between a completion and its next transfer, as in
+  // the other engines, so fewer transfers complete; money is conserved.
+  model::SystemConfig cfg = TransferConfig();
+  const auto eager = MustRun(cfg, 5);
+  cfg.think_time = 50.0;
+  const auto thinking = MustRun(cfg, 5);
+  EXPECT_GT(thinking.metrics.totcom, 0);
+  EXPECT_LT(thinking.metrics.totcom, eager.metrics.totcom);
+  EXPECT_TRUE(thinking.conserved);
+}
+
 TEST(TransferSimulatorTest, DeterministicForSeed) {
   const auto a = MustRun(TransferConfig(), 11);
   const auto b = MustRun(TransferConfig(), 11);

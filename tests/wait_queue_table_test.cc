@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <unordered_map>
+
+#include "lockmgr/txn_id_map.h"
+#include "util/random.h"
+
 namespace granulock::lockmgr {
 namespace {
 
@@ -147,6 +153,38 @@ TEST(WaitQueueTableTest, ReleaseUnknownTxnIsNoOp) {
   WaitQueueLockTable table(10);
   EXPECT_TRUE(table.ReleaseAll(99).empty());
   EXPECT_TRUE(table.Abort(99).empty());
+}
+
+TEST(TxnIdMapTest, MatchesAReferenceMapUnderChurn) {
+  // Random inserts and erasures over a small id range, so probe runs
+  // collide, wrap and shift back; every id's lookup agrees throughout.
+  TxnIdMap<int64_t> map;
+  std::unordered_map<TxnId, int64_t> reference;
+  Rng rng(3);
+  for (int step = 0; step < 20000; ++step) {
+    const TxnId txn = static_cast<TxnId>(rng.UniformInt(0, 199));
+    if (reference.count(txn) != 0) {
+      map.Erase(txn);
+      reference.erase(txn);
+    } else {
+      map.Insert(txn, step + 1);
+      reference[txn] = step + 1;
+    }
+    ASSERT_EQ(map.size(), reference.size());
+    if (step % 97 == 0) {
+      for (TxnId id = 0; id < 200; ++id) {
+        const auto it = reference.find(id);
+        ASSERT_EQ(map.Find(id), it == reference.end() ? 0 : it->second)
+            << "txn " << id << " at step " << step;
+      }
+    }
+  }
+  size_t visited = 0;
+  map.ForEach([&](TxnId txn, int64_t value) {
+    ++visited;
+    EXPECT_EQ(reference.at(txn), value);
+  });
+  EXPECT_EQ(visited, reference.size());
 }
 
 }  // namespace
