@@ -49,30 +49,6 @@ void BM_EventScheduleAndRun(benchmark::State& state) {
 }
 BENCHMARK(BM_EventScheduleAndRun)->Arg(1000)->Arg(10000);
 
-void BM_EventCancelChurn(benchmark::State& state) {
-  // Schedule/cancel churn with a small live set: the generation-stamped
-  // slab makes Cancel O(1) and compaction keeps the heap near the live
-  // count. This is the PriorityServer preemption pattern at full tilt.
-  const int64_t batch = state.range(0);
-  for (auto _ : state) {
-    sim::Simulator sim;
-    std::vector<sim::EventId> pending;
-    double t = 1.0;
-    for (int64_t i = 0; i < batch; ++i) {
-      pending.push_back(sim.ScheduleAt(t, [] {}));
-      t += 0.001;
-      if (pending.size() > 8) {
-        sim.Cancel(pending.front());
-        pending.erase(pending.begin());
-      }
-    }
-    sim.RunUntilEmpty();
-    benchmark::DoNotOptimize(sim.HeapSize());
-  }
-  state.SetItemsProcessed(state.iterations() * batch);
-}
-BENCHMARK(BM_EventCancelChurn)->Arg(10000);
-
 void BM_CalendarQueueChurn(benchmark::State& state) {
   // The calendar queue's steady state: range(0) events in flight with
   // random-offset reschedule churn. The engines' own queues peak at a few

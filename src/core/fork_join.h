@@ -5,7 +5,6 @@
 
 #include "core/engine_probe.h"
 #include "core/run_stats.h"
-#include "sim/inline_callback.h"
 #include "sim/machine.h"
 #include "util/logging.h"
 
@@ -20,10 +19,9 @@ namespace granulock::core {
 ///
 /// `Txn` provides `id`, `params`, `clock` (a `PhaseClock`),
 /// `subtxns_remaining` and `sub_cpu_done`. `join` must be one pointer
-/// (typically `[this]`): the completions then fit the inline callback
-/// buffer and move by copying bytes. A sub-transaction that finds its
-/// server idle starts in place, and once every server's queue has held
-/// its longest backlog nothing is allocated.
+/// (typically `[this]`): the completions then fit an `sim::InlineCallback`.
+/// A sub-transaction that finds its server idle starts in place, and once
+/// every server's queue has held its longest backlog nothing is allocated.
 template <typename Txn, typename Join>
 void ForkJoin(sim::Machine* machine, EngineProbe* probe, Txn* txn, double io,
               double cpu, Join join) {
@@ -44,11 +42,9 @@ void ForkJoin(sim::Machine* machine, EngineProbe* probe, Txn* txn, double io,
         GRANULOCK_CHECK_GT(txn->subtxns_remaining, 0);
         if (--txn->subtxns_remaining == 0) join(txn);
       };
-      static_assert(sim::InlineCallback::kCopiesBytes<decltype(on_cpu)>);
       machine->cpu(node).Submit(sim::ServiceClass::kTransaction, cpu,
                                 on_cpu);
     };
-    static_assert(sim::InlineCallback::kCopiesBytes<decltype(on_io)>);
     machine->io(node).Submit(sim::ServiceClass::kTransaction, io, on_io);
   }
 }

@@ -207,14 +207,13 @@ ExplicitSimulator::Txn* ExplicitSimulator::Decide(Txn* txn) {
   LockMode held = LockMode::kX;
   switch (options_.strategy) {
     case LockingStrategy::kFlat: {
-      std::vector<LockRequest> requests;
-      requests.reserve(txn->granules.size());
+      flat_requests_.clear();
       for (int64_t g : txn->granules) {
-        requests.push_back(LockRequest{g, txn->mode});
+        flat_requests_.push_back(LockRequest{g, txn->mode});
       }
       lockmgr::ConflictInfo conflict;
       blocker = flat_table_->TryAcquireAll(
-          txn->id, requests, prof != nullptr ? &conflict : nullptr);
+          txn->id, flat_requests_, prof != nullptr ? &conflict : nullptr);
       key = conflict.granule;
       requested = conflict.requested;
       held = conflict.held;

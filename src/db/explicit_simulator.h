@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <vector>
 
 #include "core/conservative_protocol.h"
 #include "core/fault.h"
@@ -123,6 +124,9 @@ class ExplicitSimulator {
 
   std::unique_ptr<lockmgr::LockTable> flat_table_;
   std::unique_ptr<lockmgr::HierarchicalLockManager> hier_table_;
+  /// The flat path's lock requests in `Decide`, reused so that a decision
+  /// allocates none once it has held the largest lock set.
+  std::vector<lockmgr::LockRequest> flat_requests_;
 
   Protocol protocol_;
 };

@@ -12,7 +12,6 @@
 namespace granulock::db {
 
 using lockmgr::LockMode;
-using lockmgr::LockRequest;
 using sim::ServiceClass;
 
 /// One live transfer: debit `from`, credit `to` by `amount`. The balances
@@ -150,13 +149,12 @@ void TransferSimulator::CheckConsistency() const {
 }
 
 TransferSimulator::Txn* TransferSimulator::Decide(Txn* txn) {
-  const std::vector<LockRequest> requests{
-      {GranuleOfAccount(txn->from), LockMode::kX},
-      {GranuleOfAccount(txn->to), LockMode::kX}};
+  requests_.assign({{GranuleOfAccount(txn->from), LockMode::kX},
+                    {GranuleOfAccount(txn->to), LockMode::kX}});
   auto* prof = protocol_.probe().contention();
   lockmgr::ConflictInfo conflict;
   const auto blocker = table_->TryAcquireAll(
-      txn->id, requests, prof != nullptr ? &conflict : nullptr);
+      txn->id, requests_, prof != nullptr ? &conflict : nullptr);
   if (!blocker.has_value()) return nullptr;
   if (prof != nullptr) {
     // Conservative locking cannot chain waiters, so the depth is 1.

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "core/conservative_protocol.h"
 #include "core/fault.h"
@@ -144,6 +145,8 @@ class TransferSimulator {
   std::unique_ptr<storage::RecordStore> store_;
   std::unique_ptr<ZipfGenerator> zipf_;
   std::unique_ptr<lockmgr::LockTable> table_;
+  /// `Decide`'s lock requests, reused so that a decision allocates none.
+  std::vector<lockmgr::LockRequest> requests_;
   /// Net intended delta of applied writes (see Report::in_flight_imbalance).
   int64_t net_applied_ = 0;
 

@@ -59,8 +59,7 @@ class Machine {
   /// calls `then()` before returning. Nothing is allocated once the
   /// lanes' queues have held their longest backlog: the I/O phase's
   /// completion captures only the CPU share and `then`, which must be at
-  /// most two pointers and trivially copyable, so both completions are
-  /// stored in place and moved by copying bytes.
+  /// most two pointers, so both completions fit an `InlineCallback`.
   template <typename Then>
   void PayLockCost(double io_per_node, double cpu_per_node, Then then);
 
@@ -86,15 +85,13 @@ class Machine {
 template <typename Then>
 void Machine::PayLockCost(double io_per_node, double cpu_per_node,
                           Then then) {
-  static_assert(sizeof(Then) <= 2 * sizeof(void*) &&
-                    InlineCallback::kCopiesBytes<Then>,
-                "PayLockCost continuations must stay allocation-free");
+  static_assert(sizeof(Then) <= 2 * sizeof(void*),
+                "a PayLockCost continuation must fit in two pointers, so "
+                "that the I/O phase's completion fits an InlineCallback");
   if (io_per_node > 0.0) {
-    auto cpu_phase = [this, cpu_per_node, then] {
+    io_lane_.Submit(io_per_node, [this, cpu_per_node, then] {
       PayLockCost(0.0, cpu_per_node, then);
-    };
-    static_assert(InlineCallback::kCopiesBytes<decltype(cpu_phase)>);
-    io_lane_.Submit(io_per_node, cpu_phase);
+    });
     return;
   }
   if (cpu_per_node > 0.0) {

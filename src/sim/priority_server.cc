@@ -28,7 +28,7 @@ int LockLane::ForEachWorkingMember(F f) {
 void LockLane::Submit(SimTime service, Completion on_complete) {
   GRANULOCK_CHECK_GE(service, 0.0) << "negative service demand on " << name_;
   ++accepted_;
-  queue_.push_back(Job{service, std::move(on_complete)});
+  queue_.push_back(Job{service, on_complete});
   if (queue_.size() > 1) return;  // waits behind the job in service
   // Preemptive-resume: lock work interrupts every member's transaction
   // work. With the lane idle, a working member has a job in service.
@@ -41,9 +41,7 @@ void LockLane::Submit(SimTime service, Completion on_complete) {
 
 void LockLane::BeginService() {
   service_start_ = sim_->Now();
-  auto finish = [this] { FinishCurrent(); };
-  static_assert(InlineCallback::kCopiesBytes<decltype(finish)>);
-  sim_->ScheduleAfter(queue_.front().service, finish);
+  sim_->ScheduleAfter(queue_.front().service, [this] { FinishCurrent(); });
 }
 
 void LockLane::FinishCurrent() {
@@ -52,7 +50,7 @@ void LockLane::FinishCurrent() {
   ++finished_;
   GRANULOCK_DCHECK_LE(finished_, accepted_)
       << "lane " << name_ << " finished more jobs than were submitted";
-  Completion done = std::move(queue_.front().on_complete);
+  Completion done = queue_.front().on_complete;
   queue_.pop_front();
   if (queue_.empty()) {
     const int resumed = ForEachWorkingMember(
@@ -153,12 +151,12 @@ void PriorityServer::SetBusyUnion(BusyUnionTracker* tracker) {
 void PriorityServer::Submit(ServiceClass cls, SimTime service,
                             Completion on_complete) {
   if (cls == ServiceClass::kLock) {
-    lane_->Submit(service, std::move(on_complete));
+    lane_->Submit(service, on_complete);
     return;
   }
   GRANULOCK_CHECK_GE(service, 0.0) << "negative service demand on " << name_;
   ++accepted_;
-  queue_.push_back(Job{service, std::move(on_complete)});
+  queue_.push_back(Job{service, on_complete});
   lane_->SetWorking(index_, true);
   StartNextIfIdle();
 }
@@ -172,9 +170,8 @@ void PriorityServer::StartNextIfIdle() {
 void PriorityServer::StartHead() {
   serving_ = true;
   service_start_ = accounted_from_ = sim_->Now();
-  auto finish = [this] { FinishCurrent(); };
-  static_assert(InlineCallback::kCopiesBytes<decltype(finish)>);
-  completion_event_ = sim_->ScheduleAfter(queue_.front().remaining, finish);
+  completion_event_ = sim_->ScheduleAfter(queue_.front().remaining,
+                                          [this] { FinishCurrent(); });
 }
 
 void PriorityServer::FinishCurrent() {
@@ -186,7 +183,7 @@ void PriorityServer::FinishCurrent() {
       << "server " << name_
       << " finished more transaction jobs than were submitted";
   NotifyTransition(-1);
-  Completion done = std::move(queue_.front().on_complete);
+  Completion done = queue_.front().on_complete;
   queue_.pop_front();
   serving_ = false;
   StartNextIfIdle();
@@ -212,8 +209,7 @@ void PriorityServer::ResumeService() {
   suspended_ = false;
   const SimTime now = sim_->Now();
   service_start_ = accounted_from_ = now;
-  completion_event_ =
-      sim_->Resume(completion_event_, now + queue_.front().remaining);
+  sim_->Resume(completion_event_, now + queue_.front().remaining);
 }
 
 double PriorityServer::BusyTime(ServiceClass cls) const {

@@ -45,8 +45,8 @@ class PriorityServer;
 /// fire at one instant with consecutive sequence numbers. The lane's one
 /// event takes the first of those positions and does the members' work in
 /// the same order, so every other event keeps its (time, seq) order. A
-/// suspend and resume draws sequence numbers where a cancel and a fresh
-/// schedule of the preempted job would. Every member reports the lane's
+/// resume draws its sequence number where a fresh schedule of the
+/// preempted job's remainder would. Every member reports the lane's
 /// lock account, and the pool's busy union gets one transition per lane
 /// event, at the instant each member's transitions had.
 class LockLane {
@@ -163,7 +163,7 @@ class LockLane {
 /// the paper's `totcpus/lockcpus/totios/lockios` outputs aggregate.
 class PriorityServer {
  public:
-  /// Completion callbacks use the same small-buffer storage as simulator
+  /// Completion callbacks use the same in-place storage as simulator
   /// events: submitting a job never heap-allocates for the callback.
   using Completion = InlineCallback;
 

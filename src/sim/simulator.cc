@@ -39,17 +39,18 @@ uint32_t Simulator::AcquireSlot() {
 }
 
 void Simulator::ReleaseSlot(uint32_t index) {
-  slot_cb_[index].Reset();
+  slot_cb_[index] = Callback();
   slot_flags_[index] = 0;
   if (++slot_gen_[index] == 0) slot_gen_[index] = 1;  // ids stay non-zero
   free_slots_.push_back(index);
   --live_count_;
 }
 
-EventId Simulator::Schedule(SimTime at, Callback&& callback, bool observer) {
+EventId Simulator::Schedule(SimTime at, const Callback& callback,
+                            bool observer) {
   GRANULOCK_CHECK_GE(at, now_) << "cannot schedule into the past";
   const uint32_t index = AcquireSlot();
-  slot_cb_[index] = std::move(callback);
+  slot_cb_[index] = callback;
   slot_flags_[index] =
       static_cast<uint8_t>(kLiveFlag | (observer ? kObserverFlag : 0));
   const uint64_t ref = MakeEventId(index, slot_gen_[index]);
@@ -79,38 +80,21 @@ void Simulator::InsertEntry(const CalEntry& entry) {
 }
 
 EventId Simulator::ScheduleAt(SimTime at, Callback callback) {
-  return Schedule(at, std::move(callback), /*observer=*/false);
+  return Schedule(at, callback, /*observer=*/false);
 }
 
 EventId Simulator::ScheduleAfter(SimTime delay, Callback callback) {
   GRANULOCK_CHECK_GE(delay, 0.0);
-  return Schedule(now_ + delay, std::move(callback), /*observer=*/false);
+  return Schedule(now_ + delay, callback, /*observer=*/false);
 }
 
 EventId Simulator::ScheduleObserverAt(SimTime at, Callback callback) {
-  return Schedule(at, std::move(callback), /*observer=*/true);
+  return Schedule(at, callback, /*observer=*/true);
 }
 
 EventId Simulator::ScheduleObserverAfter(SimTime delay, Callback callback) {
   GRANULOCK_CHECK_GE(delay, 0.0);
-  return Schedule(now_ + delay, std::move(callback), /*observer=*/true);
-}
-
-void Simulator::Cancel(EventId id) {
-  // A fired or cancelled id (its slot possibly reused since) is a no-op.
-  if (!IsPending(id)) return;
-  const uint32_t index = SlotOf(id);
-  const bool detached = (slot_flags_[index] & kDetachedFlag) != 0;
-  ReleaseSlot(index);
-  if (detached) {
-    --detached_count_;  // its entry is already gone
-    return;
-  }
-  // The queue entry referencing the old generation is now stale; it is
-  // skipped (and pruned) when next encountered, or swept out by
-  // compaction below.
-  ++stale_count_;
-  MaybeCompact();
+  return Schedule(now_ + delay, callback, /*observer=*/true);
 }
 
 void Simulator::Suspend(EventId id) {
@@ -120,44 +104,31 @@ void Simulator::Suspend(EventId id) {
   slot_flags_[SlotOf(id)] |= kSuspendedFlag;
 }
 
-EventId Simulator::Resume(EventId id, SimTime at) {
+void Simulator::Resume(EventId id, SimTime at) {
   GRANULOCK_CHECK_GE(at, now_) << "cannot resume into the past";
   GRANULOCK_CHECK(IsPending(id) &&
                   (slot_flags_[SlotOf(id)] & kSuspendedFlag) != 0)
       << "event " << id << " is not suspended";
   const uint32_t index = SlotOf(id);
   uint8_t& flags = slot_flags_[index];
-  if ((flags & kDetachedFlag) == 0 && slot_time_[index] > at) {
-    // The entry would surface too late: cancel it and schedule afresh.
-    Callback callback = std::move(slot_cb_[index]);
-    const bool observer = (flags & kObserverFlag) != 0;
-    Cancel(id);
-    return Schedule(at, std::move(callback), observer);
-  }
   const uint64_t seq = next_seq_++;
   if ((flags & kDetachedFlag) != 0) {
     // Its entry surfaced while suspended: place a new one.
-    flags &= static_cast<uint8_t>(~(kSuspendedFlag | kDetachedFlag));
     --detached_count_;
-    InsertEntry(CalEntry{at, seq, id});
-    return id;
+  } else if (slot_time_[index] > at) {
+    // The entry would surface too late: move it to the new key.
+    EraseEntry(id);
+  } else {
+    // The entry lies before the new key (an older seq breaks a time tie):
+    // it stays put and is re-keyed when it surfaces.
+    flags = static_cast<uint8_t>((flags & ~kSuspendedFlag) | kRekeyFlag);
+    slot_due_time_[index] = at;
+    slot_due_seq_[index] = seq;
+    return;
   }
-  // The entry lies before the new key (an older seq breaks a time tie):
-  // it stays put and is re-keyed when it surfaces.
-  flags = static_cast<uint8_t>((flags & ~kSuspendedFlag) | kRekeyFlag);
-  slot_due_time_[index] = at;
-  slot_due_seq_[index] = seq;
-  return id;
-}
-
-void Simulator::MaybeCompact() {
-  // Ratio trigger: stale entries dominate and the sweep amortizes.
-  // Floor trigger: a large live set with slow churn never satisfies the
-  // ratio, but tombstones must not accumulate without bound either.
-  if ((stale_count_ >= kCompactMinStale && stale_count_ > live_count_) ||
-      stale_count_ >= kCompactStaleFloor) {
-    Compact();
-  }
+  flags &= static_cast<uint8_t>(
+      ~(kSuspendedFlag | kRekeyFlag | kDetachedFlag));
+  InsertEntry(CalEntry{at, seq, id});
 }
 
 void Simulator::RemoveEntry(Bucket& bucket, size_t i) {
@@ -169,32 +140,21 @@ void Simulator::RemoveEntry(Bucket& bucket, size_t i) {
   bucket.ref.pop_back();
 }
 
-void Simulator::DropStale(Bucket& bucket) {
-  for (size_t i = 0; i < bucket.ref.size();) {
-    if (IsStaleRef(bucket.ref[i])) {
-      RemoveEntry(bucket, i);
-      --stale_count_;
-    } else {
-      ++i;
-    }
+void Simulator::EraseEntry(EventId id) {
+  // The entry lies where `InsertEntry` put it at its recorded time.
+  const uint64_t day = DayOf(slot_time_[SlotOf(id)]);
+  if (day <= bottom_day_ && bottom_day_ != kNoBottomDay) {
+    const auto it =
+        std::find_if(bottom_.begin(), bottom_.end(),
+                     [id](const CalEntry& entry) { return entry.ref == id; });
+    GRANULOCK_DCHECK(it != bottom_.end());
+    bottom_.erase(it);
+    return;
   }
-}
-
-void Simulator::Compact() {
-  for (Bucket& bucket : buckets_) DropStale(bucket);
-  // The bottom is kept sorted, so compaction must preserve order here
-  // (erase-remove, no swap tricks).
-  auto keep_end = std::remove_if(
-      bottom_.begin(), bottom_.end(), [this](const CalEntry& entry) {
-        if (IsStaleRef(entry.ref)) {
-          --stale_count_;
-          return true;
-        }
-        return false;
-      });
-  bottom_.erase(keep_end, bottom_.end());
-  GRANULOCK_DCHECK_EQ(stale_count_, size_t{0});
-  stale_count_ = 0;
+  Bucket& bucket = buckets_[day & bucket_mask_];
+  const auto it = std::find(bucket.ref.begin(), bucket.ref.end(), id);
+  GRANULOCK_DCHECK(it != bucket.ref.end());
+  RemoveEntry(bucket, static_cast<size_t>(it - bucket.ref.begin()));
 }
 
 bool Simulator::RefillBottom() {
@@ -211,7 +171,6 @@ bool Simulator::RefillBottom() {
   for (size_t lap = 0; lap < buckets_.size(); ++lap, ++day) {
     Bucket& bucket = buckets_[day & bucket_mask_];
     if (bucket.ref.empty()) continue;
-    DropStale(bucket);
     for (size_t i = 0; i < bucket.time.size();) {
       // Same bucket, different year: not this day's business.
       if (DayOf(bucket.time[i]) == day) {
@@ -247,7 +206,6 @@ bool Simulator::RefillBottom() {
       // of round-tripping through the calendar.
       uint64_t max_day = 0;
       for (Bucket& bucket : buckets_) {
-        DropStale(bucket);
         for (size_t i = 0; i < bucket.time.size(); ++i) {
           max_day = std::max(max_day, DayOf(bucket.time[i]));
           bottom_.push_back(
@@ -264,8 +222,7 @@ bool Simulator::RefillBottom() {
       // Direct search for the minimum day; pull that day and jump the
       // cursor to it.
       uint64_t best_day = 0;
-      for (Bucket& bucket : buckets_) {
-        DropStale(bucket);
+      for (const Bucket& bucket : buckets_) {
         for (SimTime t : bucket.time) {
           const uint64_t d = DayOf(t);
           if (!found || d < best_day) {
@@ -300,16 +257,8 @@ bool Simulator::RefillBottom() {
 bool Simulator::PrepareMin() {
   for (;;) {
     while (!bottom_.empty()) {
-      const uint64_t ref = bottom_.back().ref;
-      const uint32_t slot = SlotOf(ref);
-      const uint8_t flags = slot_flags_[slot];
-      if ((flags & kLiveFlag) == 0 ||
-          slot_gen_[slot] != static_cast<uint32_t>(ref >> 32)) {
-        bottom_.pop_back();
-        --stale_count_;
-        continue;
-      }
-      if ((flags & kNotDueMask) == 0) return true;
+      const uint32_t slot = SlotOf(bottom_.back().ref);
+      if ((slot_flags_[slot] & kNotDueMask) == 0) return true;
       SurfaceEarly(slot);
     }
     if (!RefillBottom()) return false;
@@ -333,9 +282,9 @@ void Simulator::Fire() {
   const CalEntry entry = bottom_.back();
   bottom_.pop_back();
   const uint32_t slot = SlotOf(entry.ref);
-  // Move the callback out before invoking: the callback may schedule new
+  // Copy the callback out before invoking: the callback may schedule new
   // events that reuse this very slot.
-  Callback cb = std::move(slot_cb_[slot]);
+  Callback cb = slot_cb_[slot];
   const bool observer = (slot_flags_[slot] & kObserverFlag) != 0;
   ReleaseSlot(slot);
   // Event-time monotonicity: the clock never runs backwards. Extraction
@@ -419,10 +368,8 @@ void Simulator::Rebuild(size_t new_bucket_count) {
   rebuild_scratch_.reserve(LiveEntries());
   for (Bucket& bucket : buckets_) {
     for (size_t i = 0; i < bucket.time.size(); ++i) {
-      if (!IsStaleRef(bucket.ref[i])) {
-        rebuild_scratch_.push_back(
-            CalEntry{bucket.time[i], bucket.seq[i], bucket.ref[i]});
-      }
+      rebuild_scratch_.push_back(
+          CalEntry{bucket.time[i], bucket.seq[i], bucket.ref[i]});
     }
     bucket.time.clear();
     bucket.seq.clear();
@@ -430,12 +377,10 @@ void Simulator::Rebuild(size_t new_bucket_count) {
   }
   // The bottom redistributes like any other pending entries; the next
   // extraction refills it under the new geometry.
-  for (const CalEntry& entry : bottom_) {
-    if (!IsStaleRef(entry.ref)) rebuild_scratch_.push_back(entry);
-  }
+  rebuild_scratch_.insert(rebuild_scratch_.end(), bottom_.begin(),
+                          bottom_.end());
   bottom_.clear();
   bottom_day_ = kNoBottomDay;
-  stale_count_ = 0;  // stale entries dropped during collection
   GRANULOCK_DCHECK_EQ(rebuild_scratch_.size(), LiveEntries());
 
   width_ = ChooseWidth(rebuild_scratch_);
@@ -454,19 +399,21 @@ void Simulator::Rebuild(size_t new_bucket_count) {
 }
 
 void Simulator::CheckConsistency() const {
-  // Every queue entry is either live or lazily deleted, the stale counter
-  // matches the actual number of stale entries, each calendar entry sits
-  // in the bucket its day maps to, and the bottom/calendar split respects
+  // Every queue entry belongs to a live slot, each calendar entry sits in
+  // the bucket its day maps to, and the bottom/calendar split respects
   // `bottom_day_`.
-  size_t live_entries = 0;
-  size_t stale_entries = 0;
   std::vector<uint8_t> seen(slot_gen_.size(), 0);
-  // One live entry per slot, recorded at its slot's entry time and never
+  // One entry per live slot, recorded at its slot's entry time and never
   // after the slot's due key.
-  auto check_live_entry = [&](SimTime time, uint64_t seq, uint32_t slot) {
-    ++live_entries;
+  auto check_entry = [&](SimTime time, uint64_t seq, uint64_t ref) {
+    const uint32_t slot = SlotOf(ref);
+    const bool live = IsPending(ref);
+    GRANULOCK_AUDIT_CHECK(live)
+        << "queue entry (" << time << ", " << seq << ") of event " << ref
+        << " belongs to slot " << slot << ", which is not live";
+    if (!live) return;
     GRANULOCK_AUDIT_CHECK(!seen[slot])
-        << "slot " << slot << " has two live queue entries";
+        << "slot " << slot << " has two queue entries";
     seen[slot] = 1;
     GRANULOCK_AUDIT_CHECK_EQ(time, slot_time_[slot])
         << "slot " << slot << " records entry time " << slot_time_[slot];
@@ -478,8 +425,8 @@ void Simulator::CheckConsistency() const {
           << ") lies after its due key (" << due << ", "
           << slot_due_seq_[slot] << ")";
     }
-    // The live minimum is the next event to fire; anything earlier than
-    // the clock would have fired already (or time would run backwards).
+    // The minimum is the next event to fire; anything earlier than the
+    // clock would have fired already (or time would run backwards).
     GRANULOCK_AUDIT_CHECK_GE(time, now_)
         << "pending event at " << time << " is before now=" << now_;
   };
@@ -494,35 +441,26 @@ void Simulator::CheckConsistency() const {
                           bucket.time.size() == bucket.ref.size())
         << "bucket " << b << " parallel arrays disagree";
     for (size_t i = 0; i < bucket.time.size(); ++i) {
-      const uint32_t slot = SlotOf(bucket.ref[i]);
-      GRANULOCK_AUDIT_CHECK_LT(slot, slot_gen_.size())
-          << "calendar entry references slot " << slot << " beyond slab";
-      GRANULOCK_AUDIT_CHECK_EQ(DayOf(bucket.time[i]) & bucket_mask_, b)
-          << "entry at t=" << bucket.time[i] << " (day "
-          << DayOf(bucket.time[i]) << ") stored in bucket " << b;
-      if (IsStaleRef(bucket.ref[i])) {
-        ++stale_entries;
-        continue;
-      }
-      check_live_entry(bucket.time[i], bucket.seq[i], slot);
-      // The day cursor lower-bounds every live calendar day (refill
-      // relies on it to stop at the first in-day hit), and the bottom
-      // holds everything at or before `bottom_day_`.
-      GRANULOCK_AUDIT_CHECK_GE(DayOf(bucket.time[i]), current_day_)
-          << "pending event at day " << DayOf(bucket.time[i])
-          << " is behind the cursor at " << current_day_;
+      const uint64_t day = DayOf(bucket.time[i]);
+      GRANULOCK_AUDIT_CHECK_EQ(day & bucket_mask_, b)
+          << "entry at t=" << bucket.time[i] << " (day " << day
+          << ") stored in bucket " << b;
+      // The day cursor lower-bounds every calendar day (refill relies on
+      // it to stop at the first in-day hit), and the bottom holds
+      // everything at or before `bottom_day_`.
+      GRANULOCK_AUDIT_CHECK_GE(day, current_day_)
+          << "pending event at day " << day << " is behind the cursor at "
+          << current_day_;
       if (bottom_day_ != kNoBottomDay) {
-        GRANULOCK_AUDIT_CHECK_GT(DayOf(bucket.time[i]), bottom_day_)
-            << "calendar entry at day " << DayOf(bucket.time[i])
+        GRANULOCK_AUDIT_CHECK_GT(day, bottom_day_)
+            << "calendar entry at day " << day
             << " belongs in the bottom (bottom_day=" << bottom_day_ << ")";
       }
+      check_entry(bucket.time[i], bucket.seq[i], bucket.ref[i]);
     }
   }
   for (size_t i = 0; i < bottom_.size(); ++i) {
     const CalEntry& entry = bottom_[i];
-    const uint32_t slot = SlotOf(entry.ref);
-    GRANULOCK_AUDIT_CHECK_LT(slot, slot_gen_.size())
-        << "bottom entry references slot " << slot << " beyond slab";
     GRANULOCK_AUDIT_CHECK(bottom_day_ != kNoBottomDay)
         << "bottom holds entries but claims no day";
     GRANULOCK_AUDIT_CHECK_LE(DayOf(entry.time), bottom_day_)
@@ -534,21 +472,11 @@ void Simulator::CheckConsistency() const {
                             (entry.time == next.time && entry.seq > next.seq))
           << "bottom not sorted descending at index " << i;
     }
-    if (IsStaleRef(entry.ref)) {
-      ++stale_entries;
-      continue;
-    }
-    check_live_entry(entry.time, entry.seq, slot);
+    check_entry(entry.time, entry.seq, entry.ref);
   }
-  GRANULOCK_AUDIT_CHECK_EQ(stale_entries, stale_count_)
-      << "stale queue entries=" << stale_entries << " but counter says "
-      << stale_count_;
-  GRANULOCK_AUDIT_CHECK_EQ(live_entries, LiveEntries())
-      << "live queue entries=" << live_entries << " but counters say "
-      << live_count_ << " live slots, " << detached_count_
-      << " without an entry";
   // Every slot is live (with a callback, and a queue entry unless it is
-  // suspended and its entry surfaced) or recycled.
+  // suspended and its entry surfaced) or recycled. With the checks above,
+  // this makes the entries number `LiveEntries()`.
   size_t live_slots = 0;
   size_t detached_slots = 0;
   for (size_t i = 0; i < slot_gen_.size(); ++i) {

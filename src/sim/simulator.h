@@ -13,10 +13,9 @@ namespace granulock::sim {
 /// doubles since all service times are products of real-valued parameters.
 using SimTime = double;
 
-/// Identifier for a scheduled event, usable to cancel it before it fires.
-/// Encodes (generation << 32 | slot index) into the event slab; 0 is never
-/// a valid id (generations start at 1), so a zero-initialized id is safely
-/// cancellable as a no-op.
+/// Identifier for a scheduled event, usable to suspend and resume it before
+/// it fires. Encodes (generation << 32 | slot index) into the event slab;
+/// 0 is never a valid id (generations start at 1).
 using EventId = uint64_t;
 
 /// A sequential discrete-event simulation engine.
@@ -43,35 +42,33 @@ using EventId = uint64_t;
 ///  * Storage is structure-of-arrays: each bucket keeps `time`, `seq` and
 ///    slot-reference arrays side by side so min-scans touch densely
 ///    packed 8-byte lanes, and the event slab splits callbacks,
-///    generations and flags into parallel arrays so staleness checks
-///    never drag 64-byte callback objects through the cache.
-///  * Callbacks live in `InlineCallback` small-buffer storage inside the
-///    slab — no per-event heap allocation, and the engines' callbacks move
-///    in and out of it by copying bytes.
+///    generations and flags into parallel arrays so the due check never
+///    drags 64-byte callback objects through the cache.
+///  * Callbacks live in `InlineCallback` storage inside the slab — no
+///    per-event heap allocation; they move in and out of it by copying
+///    bytes.
 ///  * Slots are recycled through a free list; each reuse bumps a
-///    generation stamp, so a stale `EventId` (already fired or cancelled)
-///    can never touch a later event that happens to reuse its slot.
-///  * `Cancel` is O(1): it destroys the callback and invalidates the
-///    slot's generation; the calendar entry is deleted lazily when its
-///    bucket is next scanned. When stale entries outnumber live ones —
-///    or pile up past an absolute floor, so low-churn long runs cannot
-///    carry tombstones indefinitely — they are swept out in one O(n)
-///    compaction pass.
-///  * `Suspend`/`Resume` are O(1) too: a suspended event keeps its slot,
-///    callback and calendar entry. Each slot records its entry's time and,
-///    once resumed, its due (time, seq) key; flag bits say whether it may
-///    fire. An entry that surfaces while its slot is suspended is dropped,
-///    and one that surfaces before its due key is re-inserted at that key,
-///    so the event fires exactly where a cancel and a fresh schedule would
-///    have put it. The check rides the flag byte the staleness test
-///    already reads, so an ordinary event pays nothing for it.
+///    generation stamp, so the id of an event that already fired fails
+///    `Suspend`'s and `Resume`'s checks even after its slot is reused.
+///  * An event leaves the pending set only by firing; there is no cancel,
+///    because the paper's machine interrupts work only by preemption,
+///    which suspends the preempted job and resumes it later. So every
+///    calendar entry belongs to a live slot and no pop skips a tombstone.
+///  * `Suspend` is O(1): a suspended event keeps its slot, callback and
+///    calendar entry. Each slot records its entry's time and, once
+///    resumed, its due (time, seq) key; flag bits say whether it may fire.
+///    An entry that surfaces while its slot is suspended is dropped, and
+///    one that surfaces before its due key is re-inserted at that key, so
+///    the event fires exactly where a fresh schedule at the resume would
+///    have put it. The check reads the flag byte only, so an ordinary
+///    event pays nothing for it. A resume before the entry's time moves
+///    the entry to the new key in place.
 ///
 /// Determinism: pops always yield the exact (time, seq) minimum of the
 /// live set — the calendar layout only changes *where* entries wait, not
 /// the order they fire — so runs are bit-identical to the previous
 /// binary-heap engine (`scheduler_differential_test` proves this against
-/// a reference heap under randomized schedule/cancel/suspend/resume
-/// streams).
+/// a reference heap under randomized schedule/suspend/resume streams).
 ///
 /// Not thread-safe: a `Simulator` and everything scheduled on it must be
 /// driven from one thread. (Running *replications* in parallel is safe —
@@ -88,7 +85,7 @@ class Simulator {
   SimTime Now() const { return now_; }
 
   /// Schedules `callback` to run at absolute time `at` (>= Now()). Returns
-  /// an id that can be passed to `Cancel`.
+  /// an id that can be passed to `Suspend`.
   EventId ScheduleAt(SimTime at, Callback callback);
 
   /// Schedules `callback` to run `delay` (>= 0) time units from now.
@@ -102,12 +99,6 @@ class Simulator {
   EventId ScheduleObserverAt(SimTime at, Callback callback);
   EventId ScheduleObserverAfter(SimTime delay, Callback callback);
 
-  /// Cancels a pending event in O(1). Cancelling an event that already
-  /// fired (or was already cancelled) is a no-op: the id's generation no
-  /// longer matches its slot, even if the slot has been reused. A
-  /// suspended event can be cancelled like any other.
-  void Cancel(EventId id);
-
   /// Suspends a pending event (`id` must be pending and not suspended):
   /// it cannot fire until `Resume`, but stays pending, so
   /// `PendingEvents()` still counts it. Its calendar entry stays where it
@@ -115,12 +106,12 @@ class Simulator {
   /// anything, moving the clock or counting as an executed event.
   void Suspend(EventId id);
 
-  /// Resumes a suspended event to fire at `at` (>= Now()). The sequence
-  /// number is drawn here, so `Suspend(id)` then `Resume(id, at)` fires
-  /// exactly where `Cancel(id)` then `ScheduleAt(at, callback)` would.
-  /// Returns the event's id: `id` itself, unless its calendar entry lies
-  /// after `at`; then that entry is abandoned and a fresh id is returned.
-  EventId Resume(EventId id, SimTime at);
+  /// Resumes a suspended event to fire at `at` (>= Now()); it keeps its
+  /// id. The sequence number is drawn here, so `Suspend(id)` then
+  /// `Resume(id, at)` fires exactly where dropping the event and
+  /// scheduling its callback afresh at `at` would. A calendar entry that
+  /// lies after `at` moves to the new key in place.
+  void Resume(EventId id, SimTime at);
 
   /// Runs the earliest pending event, advancing the clock to its timestamp.
   /// Returns false if no event can fire (none is pending but suspended
@@ -135,15 +126,8 @@ class Simulator {
   /// Runs events until none can fire.
   void RunUntilEmpty();
 
-  /// Number of pending (non-cancelled) events, suspended ones included.
+  /// Number of pending events, suspended ones included.
   size_t PendingEvents() const { return live_count_; }
-
-  /// Size of the internal pending-event store (all calendar entries),
-  /// including lazily-deleted (cancelled) entries awaiting compaction —
-  /// the engine's actual memory footprint. Diagnostics and the
-  /// cancel-churn memory regression tests; bounded by `PendingEvents()`
-  /// plus the compaction thresholds.
-  size_t HeapSize() const { return LiveEntries() + stale_count_; }
 
   /// Total number of simulation events executed so far (diagnostics).
   /// Observer events are counted separately in
@@ -155,14 +139,14 @@ class Simulator {
   /// the event queue is the simulator's main memory consumer).
   size_t MaxPendingEvents() const { return max_pending_; }
 
-  /// Full audit of the engine's internal bookkeeping: every live slot has
-  /// a callback and exactly one matching calendar entry (a suspended slot
-  /// may have none, once its entry surfaced), no entry lies after its
-  /// slot's due key, every entry sits in the bucket its day maps to and
-  /// no live entry lies before the day cursor or the clock, stale entries
-  /// are counted exactly, slots are either live or on the free list, and
-  /// the pending count is `entries - stale` plus the entryless suspended
-  /// slots. O(pending events); violations report through
+  /// Full audit of the engine's internal bookkeeping: every calendar
+  /// entry belongs to a live slot, every live slot has a callback and
+  /// exactly one matching calendar entry (a suspended slot may have none,
+  /// once its entry surfaced), no entry lies after its slot's due key,
+  /// every entry sits in the bucket its day maps to and none lies before
+  /// the day cursor or the clock, slots are either live or on the free
+  /// list, and the pending count is the entries plus the entryless
+  /// suspended slots. O(pending events); violations report through
   /// `invariants::Fail`.
   void CheckConsistency() const;
 
@@ -170,10 +154,8 @@ class Simulator {
   friend struct AuditTestPeer;  // invariants_test corrupts state through it
 
   /// One calendar bucket, structure-of-arrays: `time[i]`, `seq[i]` and
-  /// `ref[i]` describe one pending entry. `ref` packs
-  /// (generation << 32 | slot) exactly like an `EventId`; an entry is
-  /// stale (lazily deleted) when its generation no longer matches its
-  /// slot's. Entries are unordered within a bucket — extraction scans.
+  /// `ref[i]` describe one pending entry. `ref` is its slot's `EventId`.
+  /// Entries are unordered within a bucket — extraction scans.
   struct Bucket {
     std::vector<SimTime> time;
     std::vector<uint64_t> seq;
@@ -196,15 +178,6 @@ class Simulator {
     }
   };
 
-  /// Compact when stale entries both outnumber live ones and are plentiful
-  /// enough to amortize the O(n) sweep...
-  static constexpr size_t kCompactMinStale = 64;
-  /// ...or unconditionally once this many tombstones accumulate, so a
-  /// long-lived run with a large live set and slow cancel churn (stale
-  /// never outnumbers live) still gets swept instead of carrying stale
-  /// slots for the whole run.
-  static constexpr size_t kCompactStaleFloor = 1024;
-
   /// Calendar tuning. Bucket counts are powers of two (masked modulo);
   /// the count doubles when live entries exceed twice the bucket count
   /// and halves when they fall below a quarter of it (8x hysteresis so
@@ -222,9 +195,7 @@ class Simulator {
   /// size).
   static constexpr size_t kSmallPullAll = 32;
 
-  /// Takes the callback by rvalue, so the public wrappers build it once
-  /// and it is moved once, into its slot.
-  EventId Schedule(SimTime at, Callback&& callback, bool observer);
+  EventId Schedule(SimTime at, const Callback& callback, bool observer);
 
   /// Places `entry` in the bottom (imminent day) or its calendar bucket
   /// and records its time as its slot's entry time.
@@ -246,28 +217,24 @@ class Simulator {
     return static_cast<uint64_t>(day);
   }
 
-  bool IsStaleRef(uint64_t ref) const {
-    const uint32_t slot = SlotOf(ref);
-    return (slot_flags_[slot] & kLiveFlag) == 0 ||
-           slot_gen_[slot] != static_cast<uint32_t>(ref >> 32);
-  }
-
   /// True iff `id` names a pending (possibly suspended) event.
   bool IsPending(EventId id) const {
-    return SlotOf(id) < slot_gen_.size() && !IsStaleRef(id);
+    const uint32_t slot = SlotOf(id);
+    return slot < slot_gen_.size() && (slot_flags_[slot] & kLiveFlag) != 0 &&
+           slot_gen_[slot] == static_cast<uint32_t>(id >> 32);
   }
 
   /// Swap-removes entry `i` from `bucket` (order within a bucket is
   /// irrelevant; extraction order comes from the sorted bottom).
   static void RemoveEntry(Bucket& bucket, size_t i);
 
-  /// Drops stale entries from `bucket`, decrementing `stale_count_`.
-  void DropStale(Bucket& bucket);
+  /// Takes the calendar entry of event `id` out of the bottom or its
+  /// bucket; the bottom stays sorted.
+  void EraseEntry(EventId id);
 
-  /// Ensures the bottom holds the due (time, seq) minimum at its back:
-  /// pops stale tail entries and surfaces entries that are not due,
-  /// refilling from the calendar when the bottom drains. Returns false iff
-  /// no event can fire.
+  /// Ensures the bottom holds the due (time, seq) minimum at its back,
+  /// surfacing entries that are not due and refilling from the calendar
+  /// when the bottom drains. Returns false iff no event can fire.
   bool PrepareMin();
 
   /// The bottom's back entry belongs to live slot `slot` but is not due:
@@ -277,9 +244,9 @@ class Simulator {
 
   /// Moves the soonest day's entries from the calendar into the (empty)
   /// bottom: scans days forward from the cursor for one lap, then falls
-  /// back to a direct global-minimum search (sparse queue). Prunes stale
-  /// entries as it goes and advances `current_day_`/`bottom_day_`.
-  /// Returns false iff no live slot has an entry.
+  /// back to a direct global-minimum search (sparse queue). Advances
+  /// `current_day_`/`bottom_day_`. Returns false iff no live slot has an
+  /// entry.
   bool RefillBottom();
 
   /// Pops the bottom's back entry — the live minimum — advances the
@@ -287,17 +254,13 @@ class Simulator {
   void Fire();
 
   uint32_t AcquireSlot();
-  /// Marks the slot's event finished: destroys the callback, bumps the
+  /// Marks the slot's event finished: empties the callback, bumps the
   /// generation (skipping 0 on wrap so ids stay non-zero), and recycles
   /// the slot.
   void ReleaseSlot(uint32_t index);
 
-  /// Sweeps all stale entries out of the calendar (O(entries)).
-  void Compact();
-  void MaybeCompact();
-
   /// Rebuilds the calendar with `new_bucket_count` buckets and a width
-  /// re-estimated from the pending events, dropping stale entries.
+  /// re-estimated from the pending events.
   /// (time, seq) is a total order — seq is unique — so redistribution
   /// cannot reorder eventual pops; determinism is unaffected.
   void Rebuild(size_t new_bucket_count);
@@ -326,7 +289,6 @@ class Simulator {
   uint64_t observer_executed_ = 0;
   size_t max_pending_ = 0;
   size_t live_count_ = 0;
-  size_t stale_count_ = 0;  // stale (cancelled) entries still in buckets
   size_t detached_count_ = 0;  // live (suspended) slots without an entry
 
   /// `bottom_day_` value meaning "no bottom region claimed yet".

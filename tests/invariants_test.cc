@@ -34,7 +34,10 @@ namespace granulock::sim {
 // Friend of Simulator, LockLane, PriorityServer and Machine: exposes private
 // state so the corruption tests below can break invariants on purpose.
 struct AuditTestPeer {
-  static auto& StaleCount(Simulator& s) { return s.stale_count_; }
+  /// Files a calendar entry at `time` for `id`, as `Schedule` would.
+  static void InsertEntry(Simulator& s, SimTime time, EventId id) {
+    s.InsertEntry(Simulator::CalEntry{time, s.next_seq_++, id});
+  }
   static auto& Now(Simulator& s) { return s.now_; }
   static auto& MaxPending(Simulator& s) { return s.max_pending_; }
   static auto& DueTime(Simulator& s, EventId id) {
@@ -193,27 +196,32 @@ TEST(SimulatorAuditTest, CleanEngineStatePasses) {
   sim::Simulator s;
   const sim::EventId a = s.ScheduleAt(1.0, [] {});
   s.ScheduleAt(2.0, [] {});
-  s.Cancel(a);
+  s.Suspend(a);
 
   ScopedFailureCapture capture;
   s.CheckConsistency();
   EXPECT_EQ(capture.count(), 0);
+  s.Resume(a, 3.0);
 
   s.RunUntilEmpty();
   s.CheckConsistency();
   EXPECT_EQ(capture.count(), 0);
 }
 
-TEST(SimulatorAuditTest, FiresOnPhantomStaleEntry) {
+TEST(SimulatorAuditTest, FiresOnEntryOfDeadSlot) {
   sim::Simulator s;
-  s.ScheduleAt(1.0, [] {});
-  // A stale-entry count with no matching lazily-deleted heap entry: the
-  // heap = live + stale size identity breaks.
-  ++sim::AuditTestPeer::StaleCount(s);
+  const sim::EventId fired = s.ScheduleAt(1.0, [] {});
+  s.ScheduleAt(2.0, [] {});
+  ASSERT_TRUE(s.Step());
+  // A calendar entry left behind by an event that already fired: its
+  // slot is on the free list.
+  sim::AuditTestPeer::InsertEntry(s, 3.0, fired);
 
   ScopedFailureCapture capture;
   s.CheckConsistency();
   EXPECT_GT(capture.count(), 0);
+  EXPECT_NE(capture.last_message().find("is not live"), std::string::npos)
+      << capture.last_message();
 }
 
 TEST(SimulatorAuditTest, FiresOnPendingEventInThePast) {
@@ -243,8 +251,8 @@ TEST(SimulatorAuditTest, SuspendedEventsPass) {
   sim::Simulator s;
   const sim::EventId surfaced = s.ScheduleAt(1.0, [] {});
   const sim::EventId rekeyed = s.ScheduleAt(2.0, [] {});
-  const sim::EventId waiting = s.ScheduleAt(3.0, [] {});
   s.ScheduleAt(4.0, [] {});
+  const sim::EventId waiting = s.ScheduleAt(6.0, [] {});
   s.Suspend(surfaced);
   s.Suspend(rekeyed);
   s.Suspend(waiting);
@@ -252,15 +260,18 @@ TEST(SimulatorAuditTest, SuspendedEventsPass) {
 
   ScopedFailureCapture capture;
   s.CheckConsistency();
-  s.RunUntil(2.5);  // surfaced loses its entry; rekeyed moves to 5.0
+  // surfaced loses its entry, rekeyed moves to 5.0, and the pop stops at
+  // 4.0, before waiting's entry.
+  s.RunUntil(2.5);
   s.CheckConsistency();
   EXPECT_EQ(s.ExecutedEvents(), 0u);
   EXPECT_EQ(s.PendingEvents(), 4u);
   s.Resume(surfaced, 3.0);
-  s.Cancel(waiting);
+  s.Resume(waiting, 4.5);  // its entry at 6.0 moves to 4.5
+  s.CheckConsistency();
   s.RunUntilEmpty();
   s.CheckConsistency();
-  EXPECT_EQ(s.ExecutedEvents(), 3u);
+  EXPECT_EQ(s.ExecutedEvents(), 4u);
   EXPECT_EQ(capture.count(), 0);
 }
 
@@ -268,7 +279,7 @@ TEST(SimulatorAuditTest, FiresOnSuspendedSlotDueBeforeItsEntry) {
   sim::Simulator s;
   const sim::EventId id = s.ScheduleAt(2.0, [] {});
   s.Suspend(id);
-  ASSERT_EQ(s.Resume(id, 4.0), id);  // re-keyed: entry 2.0, due 4.0
+  s.Resume(id, 4.0);  // re-keyed: entry 2.0, due 4.0
   s.Suspend(id);
 
   ScopedFailureCapture capture;

@@ -47,10 +47,12 @@ class PerNodeServers {
   }
 
   void SubmitLock(SimTime service, std::function<void()> then) {
-    auto remaining = std::make_shared<size_t>(servers_.size());
+    // The completions capture a pointer to the job's fan-in, which the
+    // harness keeps.
+    FanIn* fan_in = &fan_ins_.emplace_back(servers_.size(), std::move(then));
     for (auto& server : servers_) {
-      server->Submit(ServiceClass::kLock, service, [remaining, then] {
-        if (--*remaining == 0) then();
+      server->Submit(ServiceClass::kLock, service, [fan_in] {
+        if (--fan_in->first == 0) fan_in->second();
       });
     }
   }
@@ -63,8 +65,12 @@ class PerNodeServers {
   const BusyUnionTracker& busy_union() const { return union_; }
 
  private:
+  /// Completions still to come, and the continuation to run after them.
+  using FanIn = std::pair<size_t, std::function<void()>>;
+
   Members servers_;
   BusyUnionTracker union_;
+  std::deque<FanIn> fan_ins_;
 };
 
 /// The same pool on one shared lane.
@@ -74,7 +80,8 @@ class PooledLane {
       : lane_(sim, "pool"), servers_(JoinLane(sim, &lane_, npros, &union_)) {}
 
   void SubmitLock(SimTime service, std::function<void()> then) {
-    lane_.Submit(service, std::move(then));
+    const std::function<void()>* kept = &thens_.emplace_back(std::move(then));
+    lane_.Submit(service, [kept] { (*kept)(); });
   }
   void ResetStats(SimTime now) {
     for (auto& server : servers_) server->ResetStats();
@@ -90,16 +97,19 @@ class PooledLane {
   LockLane lane_;
   BusyUnionTracker union_;
   Members servers_;
+  std::deque<std::function<void()>> thens_;  // every job's continuation
 };
 
 /// The pool as it preempted before members were suspended in place, kept
 /// as a reference for the lane: when the lane turns busy, every member
-/// cancels its in-service job's completion event and pushes the job back
-/// on the head of its queue, crediting the service it received; when the
+/// drops its in-service job's completion event and pushes the job back on
+/// the head of its queue, crediting the service it received; when the
 /// lane drains, every member starts the head of its queue with a fresh
-/// `ScheduleAfter`. Each member reports its own union transitions. A
-/// member always queues a submitted job and then moves the head out of
-/// its queue to start it, even when it was idle.
+/// `ScheduleAfter`. The dropped event is suspended and never resumed: as
+/// a cancelled one would, its entry surfaces uncounted, draws no sequence
+/// number and moves no clock. Each member reports its own union
+/// transitions. A member always queues a submitted job and then moves the
+/// head out of its queue to start it, even when it was idle.
 class EagerPool {
  public:
   class Member {
@@ -151,7 +161,7 @@ class EagerPool {
     void EnterLockService() {
       if (current_.has_value()) {
         ++pool_->preemptions_;
-        sim_->Cancel(completion_);
+        sim_->Suspend(completion_);
         const SimTime served = sim_->Now() - service_start_;
         busy_time_ += sim_->Now() - accounted_from_;
         pool_->Notify(-1, 0);
@@ -261,11 +271,11 @@ class StandaloneServer {
 
   void SubmitLock(SimTime service, std::function<void()> then) {
     ++unfinished_locks_;
-    server_.Submit(ServiceClass::kLock, service,
-                   [this, then = std::move(then)] {
-                     --unfinished_locks_;
-                     then();
-                   });
+    const std::function<void()>* kept = &thens_.emplace_back(std::move(then));
+    server_.Submit(ServiceClass::kLock, service, [this, kept] {
+      --unfinished_locks_;
+      (*kept)();
+    });
   }
   void ResetStats(SimTime now) {
     server_.ResetStats();
@@ -286,6 +296,7 @@ class StandaloneServer {
   BusyUnionTracker union_;
   PriorityServer server_;
   int unfinished_locks_ = 0;
+  std::deque<std::function<void()>> thens_;  // every job's continuation
 };
 
 /// What a stream observably produced.

@@ -13,11 +13,11 @@ namespace {
 
 // Randomized differential test: drive the calendar-queue scheduler and a
 // reference priority-queue model (a plain vector scanned for the least
-// (time, seq) entry) with the same schedule / cancel / pop stream, and
-// require bit-identical pop order — including same-timestamp ties and
-// cancelled ids. This is the determinism contract every engine metric
-// rests on: the event core must behave exactly like a stable binary heap
-// ordered by (time, sequence number).
+// (time, seq) entry) with the same schedule / pop stream, and require
+// bit-identical pop order — including same-timestamp ties. This is the
+// determinism contract every engine metric rests on: the event core must
+// behave exactly like a stable binary heap ordered by (time, sequence
+// number).
 
 struct RefEntry {
   double time;
@@ -31,8 +31,7 @@ class ReferenceQueue {
     entries_.push_back(RefEntry{time, next_seq_++, label});
   }
 
-  // Cancelling a label that is absent (already fired or already cancelled)
-  // is a no-op, mirroring the simulator's stale-EventId semantics.
+  // Removes `label`'s entry; `SuspendHarness` models a suspend this way.
   void Cancel(int label) {
     for (size_t i = 0; i < entries_.size(); ++i) {
       if (entries_[i].label == label) {
@@ -83,13 +82,10 @@ void RunDifferential(uint64_t seed, int ops) {
 
   std::vector<int> sim_order;
   std::vector<int> ref_order;
-  // Every label ever scheduled, with its EventId; cancels draw from here,
-  // so stale cancels (already-fired targets) are exercised too.
-  std::vector<std::pair<EventId, int>> issued;
   int next_label = 0;
 
   for (int op = 0; op < ops; ++op) {
-    const int64_t kind = rng.UniformInt(0, 9);
+    const int64_t kind = rng.UniformInt(0, 7);
     if (kind <= 4 || ref.empty()) {
       // Schedule. A quarter of the draws reuse an existing pending time to
       // force exact same-timestamp ties; the rest land at now + U[0, 10).
@@ -103,17 +99,8 @@ void RunDifferential(uint64_t seed, int ops) {
       }
       if (t < sim.Now()) t = sim.Now();
       const int label = next_label++;
-      const EventId id =
-          sim.ScheduleAt(t, [&sim_order, label] { sim_order.push_back(label); });
+      sim.ScheduleAt(t, [&sim_order, label] { sim_order.push_back(label); });
       ref.Schedule(t, label);
-      issued.emplace_back(id, label);
-    } else if (kind <= 6 && !issued.empty()) {
-      // Cancel a random ever-issued event; both sides treat a fired or
-      // already-cancelled target as a no-op.
-      const auto& [id, label] = issued[static_cast<size_t>(rng.UniformInt(
-          0, static_cast<int64_t>(issued.size()) - 1))];
-      sim.Cancel(id);
-      ref.Cancel(label);
     } else {
       ASSERT_TRUE(sim.Step());
       ref_order.push_back(ref.Pop());
@@ -134,9 +121,9 @@ void RunDifferential(uint64_t seed, int ops) {
 
 // Suspend/Resume against the reference, which models them as Cancel and
 // then Schedule: a resume draws the next sequence number, so the resumed
-// event must pop exactly where a fresh schedule would. Each label's id is
-// refreshed on resume (a resume before the old entry returns a new id).
-// Pops, their times and the executed-event count must all match.
+// event must pop exactly where a fresh schedule would. A label keeps its
+// id throughout. Pops, their times and the executed-event count must all
+// match.
 class SuspendHarness {
  public:
   enum class State { kPending, kSuspended, kGone };
@@ -155,22 +142,13 @@ class SuspendHarness {
     ref_.Cancel(label);
     l.state = State::kSuspended;
   }
-  // Returns whether the simulator kept the label's id.
-  bool Resume(int label, double t) {
+  void Resume(int label, double t) {
     Label& l = labels_[static_cast<size_t>(label)];
     EXPECT_EQ(l.state, State::kSuspended);
-    const EventId old = l.id;
-    l.id = sim_.Resume(l.id, t);
+    sim_.Resume(l.id, t);
     l.time = t;
     l.state = State::kPending;
     ref_.Schedule(t, label);
-    return l.id == old;
-  }
-  void Cancel(int label) {
-    Label& l = labels_[static_cast<size_t>(label)];
-    sim_.Cancel(l.id);
-    ref_.Cancel(label);
-    l.state = State::kGone;
   }
   // One pop on each side; false once both are empty.
   bool Step() {
@@ -222,7 +200,7 @@ class SuspendHarness {
 
  private:
   struct Label {
-    EventId id;
+    EventId id;   // fixed for the label's life
     double time;  // where it was last scheduled or resumed
     State state;
   };
@@ -251,9 +229,9 @@ TEST(SchedulerDifferentialTest, SuspendResumeMatchesCancelThenSchedule) {
     auto quarters = [&rng](int max) {
       return 0.25 * static_cast<double>(rng.UniformInt(0, max));
     };
-    int resumed_early = 0;
+    int resumed_early = 0;  // before the label's previous time
     for (int op = 0; op < 20000; ++op) {
-      const int64_t kind = rng.UniformInt(0, 99);
+      const int64_t kind = rng.UniformInt(0, 94);
       const std::vector<int> pending = h.Labels(State::kPending);
       const std::vector<int> suspended = h.Labels(State::kSuspended);
       const double now = h.sim().Now();
@@ -262,7 +240,7 @@ TEST(SchedulerDifferentialTest, SuspendResumeMatchesCancelThenSchedule) {
       } else if (kind < 55) {
         h.Suspend(pick(pending));
       } else if (kind < 75 && !suspended.empty()) {
-        // Same instant, before the old entry (the fresh-id path), or
+        // Same instant, before the old entry (which moves it in place), or
         // anywhere ahead.
         const int label = pick(suspended);
         const int64_t where = rng.UniformInt(0, 3);
@@ -271,11 +249,9 @@ TEST(SchedulerDifferentialTest, SuspendResumeMatchesCancelThenSchedule) {
         if (where == 1 && h.TimeOf(label) > now) {
           t = now + (h.TimeOf(label) - now) * 0.5;
         }
-        if (!h.Resume(label, t)) ++resumed_early;
-      } else if (kind < 80) {
-        h.Cancel(pick(rng.Bernoulli(0.5) && !suspended.empty() ? suspended
-                                                                : pending));
-      } else if (kind < 83) {
+        if (t < h.TimeOf(label)) ++resumed_early;
+        h.Resume(label, t);
+      } else if (kind < 78) {
         h.RunUntil(now + quarters(8));
       } else {
         h.Step();
@@ -304,40 +280,38 @@ TEST(SchedulerDifferentialTest, SuspendResumeEdgeCases) {
   h.Schedule(1.0);
   // Resume at the same instant: `same` now fires after both neighbours.
   h.Suspend(same);
-  EXPECT_TRUE(h.Resume(same, 1.0));
-  // Resume earlier than the old entry: a fresh id.
+  h.Resume(same, 1.0);
+  // Resume earlier than the old entry, which still waits in a calendar
+  // bucket: the entry moves to the new key.
   const int early = h.Schedule(50.0);
   h.Suspend(early);
-  EXPECT_FALSE(h.Resume(early, 2.0));
+  h.Resume(early, 2.5);
   // Suspend and resume twice before the entry surfaces.
   const int twice = h.Schedule(3.0);
   h.Suspend(twice);
-  EXPECT_TRUE(h.Resume(twice, 4.0));
+  h.Resume(twice, 4.0);
   h.Suspend(twice);
-  EXPECT_TRUE(h.Resume(twice, 5.0));
+  h.Resume(twice, 5.0);
   // Surfaces while suspended: one in the bottom rung, one in a bucket.
   const int in_bottom = h.Schedule(1.5);
   const int in_bucket = h.Schedule(60.0);
   h.Step();  // the first pop pulls the imminent day into the bottom
   h.Suspend(in_bottom);
   h.Suspend(in_bucket);
-  // Cancel of a suspended event, before and after its entry surfaced.
-  const int cancel_early = h.Schedule(6.0);
-  const int cancel_late = h.Schedule(1.25);
-  h.Suspend(cancel_early);
-  h.Suspend(cancel_late);
-  h.Cancel(cancel_early);
+  // Resume earlier than an entry the first pop pulled into the bottom
+  // rung: the entry moves within it.
+  h.Suspend(early);
+  h.Resume(early, 2.0);
   h.ExpectSame("set up");
-  h.RunUntil(80.0);  // both suspended entries and cancel_late surface
+  h.RunUntil(80.0);  // both suspended entries surface
   h.ExpectSame("entries surfaced while suspended");
-  h.Cancel(cancel_late);
-  EXPECT_TRUE(h.Resume(in_bottom, 80.0));
-  EXPECT_TRUE(h.Resume(in_bucket, 80.0));
+  h.Resume(in_bottom, 80.0);
+  h.Resume(in_bucket, 80.0);
   // A RunUntil deadline between an early entry and its due key: the
   // entry surfaces and is re-keyed without firing or moving the clock.
   const int rekeyed = h.Schedule(82.0);
   h.Suspend(rekeyed);
-  EXPECT_TRUE(h.Resume(rekeyed, 90.0));
+  h.Resume(rekeyed, 90.0);
   const uint64_t executed = h.sim().ExecutedEvents();
   h.RunUntil(85.0);
   EXPECT_EQ(h.sim().ExecutedEvents(), executed + 2);  // the two resumed

@@ -2,10 +2,11 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -49,30 +50,6 @@ TEST(SimulatorTest, ScheduleAfterUsesRelativeDelay) {
   EXPECT_DOUBLE_EQ(fired_at, 3.5);
 }
 
-TEST(SimulatorTest, CancelPreventsExecution) {
-  Simulator sim;
-  bool fired = false;
-  EventId id = sim.ScheduleAt(1.0, [&] { fired = true; });
-  sim.Cancel(id);
-  sim.RunUntilEmpty();
-  EXPECT_FALSE(fired);
-}
-
-TEST(SimulatorTest, CancelTwiceIsNoOp) {
-  Simulator sim;
-  EventId id = sim.ScheduleAt(1.0, [] {});
-  sim.Cancel(id);
-  sim.Cancel(id);  // must not crash
-  sim.RunUntilEmpty();
-}
-
-TEST(SimulatorTest, CancelAfterFireIsNoOp) {
-  Simulator sim;
-  EventId id = sim.ScheduleAt(1.0, [] {});
-  sim.RunUntilEmpty();
-  sim.Cancel(id);  // must not crash
-}
-
 TEST(SimulatorTest, RunUntilStopsAtDeadline) {
   Simulator sim;
   int fired = 0;
@@ -96,10 +73,11 @@ TEST(SimulatorTest, RunUntilWithNoEventsAdvancesClock) {
 TEST(SimulatorTest, EventsScheduledDuringRunAreExecuted) {
   Simulator sim;
   int depth = 0;
+  // Each event captures a pointer to the chain, which the test owns.
   std::function<void()> chain = [&] {
-    if (++depth < 5) sim.ScheduleAfter(1.0, chain);
+    if (++depth < 5) sim.ScheduleAfter(1.0, [&chain] { chain(); });
   };
-  sim.ScheduleAt(0.0, chain);
+  sim.ScheduleAt(0.0, [&chain] { chain(); });
   sim.RunUntilEmpty();
   EXPECT_EQ(depth, 5);
   EXPECT_DOUBLE_EQ(sim.Now(), 4.0);
@@ -120,157 +98,74 @@ TEST(SimulatorTest, ExecutedEventsCounter) {
   EXPECT_EQ(sim.ExecutedEvents(), 4u);
 }
 
-TEST(SimulatorTest, PendingEventsExcludesCancelled) {
+TEST(SimulatorDeathTest, FiredIdFailsSuspendAfterSlotReuse) {
+  // The generation stamp makes a fired event's id stale for good: once B
+  // reuses A's slot, A's id names neither A nor B.
   Simulator sim;
-  EventId a = sim.ScheduleAt(1.0, [] {});
-  sim.ScheduleAt(2.0, [] {});
-  EXPECT_EQ(sim.PendingEvents(), 2u);
-  sim.Cancel(a);
-  EXPECT_EQ(sim.PendingEvents(), 1u);
-}
-
-TEST(SimulatorTest, StaleIdCannotCancelSlotReuser) {
-  // A fired/cancelled event's id must never affect a later event that
-  // happens to recycle its slot: the generation stamp mismatch makes the
-  // stale id a no-op.
-  Simulator sim;
-  bool a_fired = false;
-  bool b_fired = false;
-  EventId a = sim.ScheduleAt(1.0, [&] { a_fired = true; });
-  sim.Cancel(a);
-  // The slab recycles slot 0 for B.
-  EventId b = sim.ScheduleAt(2.0, [&] { b_fired = true; });
-  EXPECT_NE(a, b);
-  sim.Cancel(a);  // stale id: must not cancel B
-  sim.RunUntilEmpty();
-  EXPECT_FALSE(a_fired);
-  EXPECT_TRUE(b_fired);
-}
-
-TEST(SimulatorTest, StaleIdAfterFireCannotCancelSlotReuser) {
-  Simulator sim;
-  EventId a = sim.ScheduleAt(1.0, [] {});
+  const EventId a = sim.ScheduleAt(1.0, [] {});
   sim.RunUntilEmpty();
   bool b_fired = false;
-  EventId b = sim.ScheduleAt(2.0, [&] { b_fired = true; });
+  const EventId b = sim.ScheduleAt(2.0, [&] { b_fired = true; });
+  ASSERT_EQ(static_cast<uint32_t>(a), static_cast<uint32_t>(b));  // one slot
   EXPECT_NE(a, b);
-  sim.Cancel(a);  // A already fired; its slot now belongs to B
+  EXPECT_DEATH(sim.Suspend(a), "is not pending");
+  EXPECT_DEATH(sim.Resume(a, 3.0), "is not suspended");
   sim.RunUntilEmpty();
   EXPECT_TRUE(b_fired);
-}
-
-TEST(SimulatorTest, CancelZeroIdIsNoOp) {
-  // Generations start at 1, so a zero-initialized EventId is never valid
-  // and engines can use 0 as a "nothing scheduled" sentinel.
-  Simulator sim;
-  bool fired = false;
-  sim.ScheduleAt(1.0, [&] { fired = true; });
-  sim.Cancel(0);
-  sim.RunUntilEmpty();
-  EXPECT_TRUE(fired);
-}
-
-TEST(SimulatorTest, CancelChurnWithLargeLiveSetHitsTombstoneFloor) {
-  // Regression test for the tombstone-count floor. With a large live
-  // population and slow churn, stale entries never outnumber live ones,
-  // so the ratio trigger (stale > max(64, live)) alone would let ~live
-  // tombstones accumulate — here 40k stale atop 40k live. The absolute
-  // floor must compact far earlier, keeping the footprint near
-  // live + floor regardless of the live set's size.
-  Simulator sim;
-  constexpr int kLive = 40000;
-  std::vector<EventId> pending;
-  double t = 1.0e6;  // live events sit far in the future
-  for (int i = 0; i < kLive; ++i) {
-    pending.push_back(sim.ScheduleAt(t, [] {}));
-    t += 1.0;
-  }
-  size_t max_heap = 0;
-  for (int i = 0; i < kLive; ++i) {
-    pending.push_back(sim.ScheduleAt(t, [] {}));
-    t += 1.0;
-    sim.Cancel(pending.front());
-    pending.erase(pending.begin());
-    max_heap = std::max(max_heap, sim.HeapSize());
-  }
-  EXPECT_EQ(sim.PendingEvents(), static_cast<size_t>(kLive));
-  // Without the floor the ratio rule would admit up to ~40k tombstones;
-  // with it, stale never exceeds the floor before a compaction runs.
-  EXPECT_LE(max_heap, static_cast<size_t>(kLive) + 1100u);
-  sim.CheckConsistency();
-}
-
-TEST(SimulatorTest, CancelChurnKeepsHeapBounded) {
-  // Regression test for cancel-heavy workloads (high-contention runs
-  // cancel timeouts constantly): lazily-deleted entries must be compacted,
-  // not accumulated. Keep ~8 live events while scheduling and cancelling
-  // 100k; the heap must stay near the live count, not grow toward 100k.
-  Simulator sim;
-  constexpr int kLive = 8;
-  std::vector<EventId> pending;
-  double t = 1.0;
-  size_t max_heap = 0;
-  for (int i = 0; i < 100000; ++i) {
-    pending.push_back(sim.ScheduleAt(t, [] {}));
-    t += 0.001;
-    if (pending.size() > kLive) {
-      sim.Cancel(pending.front());
-      pending.erase(pending.begin());
-    }
-    max_heap = std::max(max_heap, sim.HeapSize());
-  }
-  // Compaction triggers once stale > max(64, live), so the footprint is
-  // bounded by roughly live + 2 * threshold regardless of churn volume.
-  EXPECT_LE(max_heap, 256u);
-  EXPECT_EQ(sim.PendingEvents(), static_cast<size_t>(kLive));
-  sim.RunUntilEmpty();
-  EXPECT_EQ(sim.PendingEvents(), 0u);
 }
 
 TEST(SimulatorTest, ChurnPreservesOrderAndDelivery) {
-  // Interleaved schedule/cancel churn (crossing compaction boundaries)
-  // must not reorder or drop surviving events.
+  // Interleaved schedule/suspend churn must not reorder or drop events:
+  // suspended events stay pending but never fire until resumed, and the
+  // resumed ones then fire in the order of their new keys.
   Simulator sim;
   std::vector<int> fired;
-  std::vector<EventId> cancels;
+  std::vector<EventId> suspended;
   for (int i = 0; i < 2000; ++i) {
-    double at = static_cast<double>(i);
-    if (i % 3 == 0) {
-      sim.ScheduleAt(at, [&fired, i] { fired.push_back(i); });
-    } else {
-      cancels.push_back(sim.ScheduleAt(at, [&fired, i] {
-        fired.push_back(-i);  // must never run
-      }));
+    const EventId id = sim.ScheduleAt(static_cast<double>(i),
+                                      [&fired, i] { fired.push_back(i); });
+    if (i % 3 != 0) {
+      sim.Suspend(id);
+      suspended.push_back(id);
     }
   }
-  for (EventId id : cancels) sim.Cancel(id);
   sim.RunUntilEmpty();
-  ASSERT_FALSE(fired.empty());
-  int prev = -1;
-  for (int v : fired) {
-    EXPECT_GT(v, prev);  // positive (survivor) and strictly increasing
-    prev = v;
+  ASSERT_EQ(fired.size(), 667u);
+  for (size_t k = 0; k < fired.size(); ++k) {
+    EXPECT_EQ(fired[k], static_cast<int>(3 * k));
   }
-  EXPECT_EQ(fired.size(), 667u);
+  EXPECT_EQ(sim.ExecutedEvents(), 667u);
+  EXPECT_EQ(sim.PendingEvents(), 1333u);
+  sim.CheckConsistency();
+  // Resume in reverse at one instant: ties fire in resume order.
+  for (auto it = suspended.rbegin(); it != suspended.rend(); ++it) {
+    sim.Resume(*it, sim.Now());
+  }
+  fired.clear();
+  sim.RunUntilEmpty();
+  ASSERT_EQ(fired.size(), 1333u);
+  for (size_t k = 1; k < fired.size(); ++k) EXPECT_GT(fired[k - 1], fired[k]);
+  EXPECT_EQ(sim.PendingEvents(), 0u);
 }
 
-TEST(SimulatorTest, LargeCaptureCallbackFallsBackToHeap) {
-  // Callables bigger than the inline buffer must still work (heap path).
-  Simulator sim;
-  struct Big {
-    double payload[16];
-    std::shared_ptr<int> counter;
-  };
-  auto counter = std::make_shared<int>(0);
-  Big big{{1.0}, counter};
-  static_assert(sizeof(Big) > InlineCallback::kInlineSize);
-  sim.ScheduleAt(1.0, [big] { ++*big.counter; });
-  EventId id = sim.ScheduleAt(2.0, [big] { ++*big.counter; });
-  sim.Cancel(id);  // heap-path destruction must release the capture
-  sim.RunUntilEmpty();
-  EXPECT_EQ(*counter, 1);
-  EXPECT_EQ(counter.use_count(), 2);  // local `big` + `counter` itself
-}
+// The type accepts only callables of at most kInlineSize bytes that it can
+// copy as bytes and never has to destroy, and is such a type itself.
+static_assert(std::is_trivially_copyable_v<InlineCallback>);
+static_assert(!std::is_constructible_v<
+              InlineCallback, decltype([token = std::shared_ptr<int>()] {
+                (void)token;
+              })>);
+struct Bytes56 {
+  double words[7];
+};
+static_assert(sizeof(Bytes56) > InlineCallback::kInlineSize);
+static_assert(!std::is_constructible_v<
+              InlineCallback,
+              decltype([big = Bytes56{}] { (void)big; })>);
+static_assert(std::is_constructible_v<
+              InlineCallback, decltype([words = std::array<double, 6>{}] {
+                (void)words;
+              })>);
 
 TEST(InlineCallbackTest, ByteCopiedCallableSurvivesMoves) {
   int fired = 0;
@@ -281,7 +176,6 @@ TEST(InlineCallbackTest, ByteCopiedCallableSurvivesMoves) {
     ++fired;
     sum += base + static_cast<int64_t>(weight);
   };
-  static_assert(InlineCallback::kCopiesBytes<decltype(add)>);
   InlineCallback a(add);
   InlineCallback b(std::move(a));
   InlineCallback c;
@@ -291,47 +185,11 @@ TEST(InlineCallbackTest, ByteCopiedCallableSurvivesMoves) {
   InlineCallback e([&fired] { fired += 100; });
   e = std::move(d);
   InlineCallback f(std::move(e));
-  // NOLINTNEXTLINE(bugprone-use-after-move): a moved-from callback is empty
-  EXPECT_FALSE(a || b || c || d || e);
+  EXPECT_FALSE(InlineCallback());
   ASSERT_TRUE(f);
   f();
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(sum, 42);
-}
-
-TEST(InlineCallbackTest, SharedPtrCaptureKeepsExactUseCount) {
-  auto token = std::make_shared<int>(0);
-  auto bump = [token] { ++*token; };
-  static_assert(!InlineCallback::kCopiesBytes<decltype(bump)>);
-  {
-    InlineCallback a(bump);
-    EXPECT_EQ(token.use_count(), 3);  // `token`, `bump` and `a`
-    InlineCallback b(std::move(a));
-    EXPECT_EQ(token.use_count(), 3);
-    InlineCallback c([token] { *token += 10; });
-    EXPECT_EQ(token.use_count(), 4);
-    c = std::move(b);  // destroys c's own capture, takes b's
-    EXPECT_EQ(token.use_count(), 3);
-    c();
-    EXPECT_EQ(*token, 1);
-    // A byte-copied callable assigned over it releases the capture.
-    int fired = 0;
-    c = InlineCallback([&fired] { ++fired; });
-    EXPECT_EQ(token.use_count(), 2);
-    c();
-    EXPECT_EQ(fired, 1);
-    InlineCallback d(std::move(bump));
-    EXPECT_EQ(token.use_count(), 2);  // `bump` gave its capture up
-    d.Reset();
-    EXPECT_EQ(token.use_count(), 1);
-    EXPECT_FALSE(d);
-    d.Reset();  // a no-op on an empty callback
-    EXPECT_EQ(token.use_count(), 1);
-    d = InlineCallback([token] { ++*token; });
-    EXPECT_EQ(token.use_count(), 2);
-  }
-  EXPECT_EQ(token.use_count(), 1);
-  EXPECT_EQ(*token, 1);
 }
 
 TEST(SimulatorTest, ZeroDelayEventFiresAtSameTime) {
